@@ -3,16 +3,14 @@
 # part of the gate; add it here if/when the binary is available.)
 
 .PHONY: check build test test-locks-unsharded bench bench-smoke bench-json \
-	bench-scale bench-scale-smoke bench-parallel bench-parallel-smoke \
-	bench-commute bench-commute-smoke \
+	bench-scale bench-scale-smoke bench-commute bench-commute-smoke \
 	ablation-identical analyze analyze-smoke \
 	analyze-mutations chaos chaos-smoke explore explore-smoke \
-	explore-mutations lint race-smoke race-mutations cert cert-smoke \
-	cert-mutations clean
+	explore-mutations cert cert-smoke cert-mutations clean
 
 check: build test test-locks-unsharded bench-smoke bench-scale-smoke \
-	bench-parallel-smoke bench-commute-smoke analyze-smoke chaos-smoke \
-	explore-smoke lint race-smoke cert-smoke ablation-identical
+	bench-commute-smoke analyze-smoke chaos-smoke explore-smoke cert-smoke \
+	ablation-identical
 
 build:
 	dune build
@@ -47,15 +45,6 @@ bench-scale:
 bench-scale-smoke:
 	dune exec bench/main.exe -- scale smoke
 
-# Serial-vs-domain-pool curve on the extreme-scale configuration — writes
-# BENCH_pr7.json (and fails if any domain count diverges from serial).
-bench-parallel:
-	dune exec bench/main.exe -- parallel
-
-# Reduced curve that writes nothing — part of `make check`.
-bench-parallel-smoke:
-	dune exec bench/main.exe -- parallel smoke
-
 # Commute vs XDGL/Node2PL on contention mixes (the optimistic protocol's
 # value proposition) — writes BENCH_pr9.json.
 bench-commute:
@@ -65,39 +54,19 @@ bench-commute:
 bench-commute-smoke:
 	dune exec bench/main.exe -- commute smoke
 
-# Byte-identical ablation gate: the legacy binary-heap simulator queue and
-# an unsharded (single-shard) lock table must reproduce the default
-# configuration's chaos and explore output exactly — the backends are
-# interchangeable implementations of one (time, seq) / one lock-table
-# semantics, so any divergence is a bug. Likewise a DTX_DOMAINS=4 worker
-# pool must reproduce the serial (DTX_DOMAINS=1) output byte for byte on
-# chaos, explore and a scale run: parallel ticks defer every shared effect
-# and replay in sequence order, so they are an implementation detail of the
-# same deterministic simulation.
+# Byte-identical ablation gate: an unsharded (single-shard) lock table must
+# reproduce the default configuration's chaos and explore output exactly —
+# both are implementations of one lock-table semantics, so any divergence
+# is a bug.
 ablation-identical:
 	dune exec bin/dtx_cli.exe -- chaos --smoke > _build/ablation_default.out
-	DTX_SIM_QUEUE=heap DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
-	  chaos --smoke > _build/ablation_legacy.out
-	cmp _build/ablation_default.out _build/ablation_legacy.out
+	DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
+	  chaos --smoke > _build/ablation_unsharded.out
+	cmp _build/ablation_default.out _build/ablation_unsharded.out
 	dune exec bin/dtx_cli.exe -- explore --scenario ref > _build/ablation_default.out
-	DTX_SIM_QUEUE=heap DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
-	  explore --scenario ref > _build/ablation_legacy.out
-	cmp _build/ablation_default.out _build/ablation_legacy.out
-	DTX_DOMAINS=1 dune exec bin/dtx_cli.exe -- chaos --smoke \
-	  > _build/ablation_serial.out
-	DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- chaos --smoke \
-	  > _build/ablation_domains.out
-	cmp _build/ablation_serial.out _build/ablation_domains.out
-	DTX_DOMAINS=1 dune exec bin/dtx_cli.exe -- explore --scenario ref \
-	  > _build/ablation_serial.out
-	DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- explore --scenario ref \
-	  > _build/ablation_domains.out
-	cmp _build/ablation_serial.out _build/ablation_domains.out
-	DTX_DOMAINS=1 dune exec bin/dtx_cli.exe -- scale --sites 50 \
-	  --clients 200 --no-timing > _build/ablation_serial.out
-	DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- scale --sites 50 \
-	  --clients 200 --no-timing > _build/ablation_domains.out
-	cmp _build/ablation_serial.out _build/ablation_domains.out
+	DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
+	  explore --scenario ref > _build/ablation_unsharded.out
+	cmp _build/ablation_default.out _build/ablation_unsharded.out
 
 # Invariant analyzer (Dtx_check): seeded workloads under every protocol with
 # the serializability / S2PL / FSM / deadlock checker attached. Exits
@@ -155,42 +124,6 @@ explore-mutations:
 	! dune exec bin/dtx_cli.exe -- explore --scenario ref --mutate skip-release
 	! dune exec bin/dtx_cli.exe -- explore --scenario ref --two-phase \
 	  --mutate commit-reorder
-
-# Static effect-discipline lint: every module-level mutable static
-# reachable from the parallel tick must be defer-routed, domain-local or
-# justified in lib/race/race_allowlist (stale entries fail too).
-lint:
-	dune exec bin/dtx_cli.exe -- lint
-
-# Dynamic race detector over the real workloads: chaos, explore and a
-# scale run under DTX_RACE=1 with a 4-domain parallel tick must report
-# zero findings, and the detector must not perturb the output (the scale
-# run is cmp'd against a detector-off run of the same configuration).
-race-smoke:
-	DTX_RACE=1 DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- chaos --smoke \
-	  > _build/race_chaos.out
-	DTX_RACE=1 DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- explore \
-	  --scenario ref > _build/race_explore.out
-	DTX_RACE=1 DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- scale --sites 50 \
-	  --clients 200 --no-timing > _build/race_scale.out
-	DTX_DOMAINS=4 dune exec bin/dtx_cli.exe -- scale --sites 50 \
-	  --clients 200 --no-timing > _build/race_scale_off.out
-	cmp _build/race_scale.out _build/race_scale_off.out
-
-# Seeded races both layers must catch. The dynamic harness bypasses
-# Sim.defer for one effect kind on a worker domain; the lint variants
-# inject fixture modules whose site-tagged closures mutate statics
-# directly (or drop the allowlist). `!` inverts: this target fails if
-# any seeded race slips through.
-race-mutations:
-	! dune exec bin/dtx_cli.exe -- race --mutate direct-send
-	! dune exec bin/dtx_cli.exe -- race --mutate undeferred-counter
-	! dune exec bin/dtx_cli.exe -- race --mutate cross-domain-intern
-	! dune exec bin/dtx_cli.exe -- lint --mutate un-deferred-send
-	! dune exec bin/dtx_cli.exe -- lint --mutate un-deferred-counter
-	! dune exec bin/dtx_cli.exe -- lint --mutate cross-domain-intern
-	! dune exec bin/dtx_cli.exe -- lint --mutate record-static
-	! dune exec bin/dtx_cli.exe -- lint --mutate drop-allowlist
 
 # Symbolic soundness certifier (Dtx_cert): lock-coverage soundness of every
 # registered protocol against the semantic conflict oracle, FSM

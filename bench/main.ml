@@ -10,8 +10,6 @@
      dune exec bench/main.exe -- json         # write BENCH_pr2.json
      dune exec bench/main.exe -- scale        # 1000-site client sweep, write BENCH_scale.json
      dune exec bench/main.exe -- scale smoke  # tiny sweep, no file (make check)
-     dune exec bench/main.exe -- parallel     # serial-vs-DTX_DOMAINS curve, write BENCH_pr7.json
-     dune exec bench/main.exe -- parallel smoke # tiny curve, no file (make check)
      dune exec bench/main.exe -- commute      # Commute vs XDGL/Node2PL mixes, write BENCH_pr9.json
      dune exec bench/main.exe -- commute smoke # one tiny mix, no file (make check)
      dune exec bench/main.exe -- ablation     # design-choice ablations
@@ -318,92 +316,6 @@ let scale_bench ~smoke ~out () =
     Format.fprintf ppf "[wrote %s]@." out
   end
 
-(* --- Parallel ticks (BENCH_pr7.json) ------------------------------------ *)
-
-(* Serial-vs-domains curve on the extreme-scale configuration. DTX_DOMAINS
-   is read by the simulator at creation time from the environment, so the
-   sweep re-points it with [Unix.putenv] between runs — same process, same
-   shared database. Every setting must produce identical simulation results
-   (committed/aborted/makespan); the curve only varies wall clock. *)
-let parallel_bench ~smoke ~out () =
-  let sites = if smoke then 50 else 1000 in
-  let clients = if smoke then 200 else 10_000 in
-  let domain_points = [ 1; 2; 4 ] in
-  let base =
-    { Workload.default_params with
-      n_sites = sites;
-      n_clients = clients;
-      txns_per_client = 1;
-      ops_per_txn = 3;
-      base_size_mb = 10.0;
-      replication = Allocation.Partial { copies = 1 } }
-  in
-  let database = Workload.build_database base in
-  let host_cores = Domain.recommended_domain_count () in
-  let saved_domains = Sys.getenv_opt "DTX_DOMAINS" in
-  Format.fprintf ppf
-    "== Parallel ticks: %d sites x %d clients, DTX_DOMAINS curve (host \
-     cores: %d) ==@."
-    sites clients host_cores;
-  Format.fprintf ppf "%-9s %-11s %-14s %-8s %-10s@." "domains" "committed"
-    "makespan(ms)" "majors" "wall(s)";
-  let baseline = ref None in
-  let rows =
-    List.map
-      (fun domains ->
-        Unix.putenv "DTX_DOMAINS" (string_of_int domains);
-        let g0 = Gc.quick_stat () in
-        let t0 = Unix.gettimeofday () in
-        let r = Workload.run ~database base in
-        let wall = Unix.gettimeofday () -. t0 in
-        let g1 = Gc.quick_stat () in
-        let majors = g1.Gc.major_collections - g0.Gc.major_collections in
-        let fingerprint =
-          ( r.Workload.committed, r.Workload.aborted, r.Workload.deadlocks,
-            r.Workload.makespan_ms )
-        in
-        (match !baseline with
-         | None -> baseline := Some fingerprint
-         | Some fp ->
-           if fp <> fingerprint then
-             failwith
-               (Printf.sprintf
-                  "parallel bench: DTX_DOMAINS=%d diverged from serial run"
-                  domains));
-        Format.fprintf ppf "%-9d %-11d %-14.1f %-8d %-10.2f@." domains
-          r.Workload.committed r.Workload.makespan_ms majors wall;
-        Printf.sprintf
-          "    {\"domains\": %d, \"committed\": %d, \"aborted\": %d, \
-           \"deadlocks\": %d, \"makespan_ms\": %.3f, \
-           \"gc_major_collections\": %d, \"wall_clock_s\": %.3f, \
-           \"real_txn_per_s\": %.1f}"
-          domains r.Workload.committed r.Workload.aborted
-          r.Workload.deadlocks r.Workload.makespan_ms majors wall
-          (if wall > 0.0 then float_of_int r.Workload.committed /. wall
-           else 0.0))
-      domain_points
-  in
-  Unix.putenv "DTX_DOMAINS"
-    (match saved_domains with Some v -> v | None -> "1");
-  Format.fprintf ppf "[simulation results identical across domain counts]@.";
-  if not smoke then begin
-    let oc = open_out out in
-    Printf.fprintf oc
-      "{\n  \"host_cores\": %d,\n  \"sites\": %d,\n  \"clients\": %d,\n\
-      \  \"notes\": \"Rows are the same fixed-seed workload under \
-       increasing DTX_DOMAINS; simulation output is byte-identical across \
-       settings (enforced here by fingerprint and in make check by cmp). \
-       Wall-clock speedup requires host_cores > 1: on a single-core host \
-       the domain pool only adds coordination overhead, so the serial row \
-       is the honest baseline and the curve shows the parallel path's \
-       overhead floor rather than its scaling.\",\n\
-      \  \"parallel_scale\": [\n%s\n  ]\n}\n"
-      host_cores sites clients
-      (String.concat ",\n" rows);
-    close_out oc;
-    Format.fprintf ppf "[wrote %s]@." out
-  end
-
 (* --- Commute vs pessimistic protocols (BENCH_pr9.json) ------------------- *)
 
 (* The optimistic protocol's value proposition: on contended read-heavy
@@ -644,9 +556,6 @@ let ablation () =
     [ 1; 2; 3 ]
 
 let () =
-  (* Sweeps spin up the domain pool many times over; join the parked
-     workers on every exit path instead of leaking them to process reap. *)
-  at_exit Dtx_sim.Sim.shutdown_pool;
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "quick" args in
   let smoke = List.mem "smoke" args in
@@ -656,7 +565,7 @@ let () =
       (fun a ->
         a <> "quick" && a <> "summary" && a <> "micro" && a <> "ablation"
         && a <> "export" && a <> "smoke" && a <> "json" && a <> "scale"
-        && a <> "parallel" && a <> "commute")
+        && a <> "commute")
       args
   in
   let t0 = Unix.gettimeofday () in
@@ -665,8 +574,7 @@ let () =
     && not
          (List.mem "summary" args || List.mem "micro" args
           || List.mem "ablation" args || List.mem "json" args
-          || List.mem "scale" args || List.mem "parallel" args
-          || List.mem "commute" args)
+          || List.mem "scale" args || List.mem "commute" args)
   then begin
     (* Default: everything the paper reports. *)
     print_figures (Experiments.all ~quick ());
@@ -680,8 +588,6 @@ let () =
     if List.mem "json" args then bench_json ~out:"BENCH_pr2.json" ();
     if List.mem "scale" args then
       scale_bench ~smoke ~out:"BENCH_scale.json" ();
-    if List.mem "parallel" args then
-      parallel_bench ~smoke ~out:"BENCH_pr7.json" ();
     if List.mem "commute" args then
       commute_bench ~smoke ~out:"BENCH_pr9.json" ();
     if List.mem "ablation" args then ablation ()

@@ -32,18 +32,7 @@ module Workload = Dtx_workload.Workload
 module Experiments = Dtx_workload.Experiments
 module Allocation = Dtx_frag.Allocation
 module Stats = Dtx_util.Stats
-module Race = Dtx_race.Race
 module Protocol_arg = Dtx_cli_args.Protocol_arg
-
-(* Under DTX_RACE=1 every simulation subcommand ends with the detector's
-   report on stderr — stdout stays byte-identical to an uninstrumented
-   run — and exits 3 if any effect-discipline finding was recorded. *)
-let race_gate () =
-  if Race.enabled () then begin
-    let clean = Race.report Format.err_formatter in
-    Format.pp_print_flush Format.err_formatter ();
-    if not clean then exit 3
-  end
 
 let read_file path =
   let ic = open_in_bin path in
@@ -275,8 +264,7 @@ let workload_cmd =
         deadlock_policy = policy }
     in
     let r = Workload.run p in
-    Format.printf "%a@." Workload.pp_result r;
-    race_gate ()
+    Format.printf "%a@." Workload.pp_result r
   in
   Cmd.v
     (Cmd.info "workload"
@@ -298,8 +286,7 @@ let scale_cmd =
     Arg.(value & flag
          & info [ "no-timing" ]
              ~doc:"Omit wall-clock timing lines, leaving only deterministic \
-                   simulation output (for byte-for-byte run comparisons, \
-                   e.g. the DTX_DOMAINS ablation gate).")
+                   simulation output (for byte-for-byte run comparisons).")
   in
   let run kind clients sites txns ops upd mb seed no_timing =
     let p =
@@ -332,8 +319,7 @@ let scale_cmd =
         "wall clock: %.2f s database + %.2f s run (%.0f txn/s real)@."
         (t1 -. t0) (t2 -. t1)
         (if t2 -. t1 > 0.0 then float_of_int r.Workload.committed /. (t2 -. t1)
-         else 0.0);
-    race_gate ()
+         else 0.0)
   in
   Cmd.v
     (Cmd.info "scale"
@@ -505,7 +491,6 @@ let analyze_cmd =
             end)
           configs)
       seeds;
-    race_gate ();
     if !failed then exit 1
   in
   Cmd.v
@@ -635,7 +620,6 @@ let chaos_cmd =
     Format.printf "chaos: %d run(s), %d committed, %d aborted/failed, %d \
                    failing run(s)@."
       !runs !committed !aborted !failed;
-    race_gate ();
     if !failed > 0 then exit 1
   in
   Cmd.v
@@ -650,7 +634,6 @@ let chaos_cmd =
 (* --- explore ----------------------------------------------------------------*)
 
 module Explore = Dtx_explore.Explore
-module Commute = Dtx_explore.Commute
 
 let explore_mutation_conv =
   Arg.conv
@@ -850,7 +833,6 @@ let explore_cmd =
           failed := true
         end)
       scens;
-    race_gate ();
     if !failed then exit 1
   in
   Cmd.v
@@ -862,133 +844,6 @@ let explore_cmd =
     Term.(const run $ scenario $ list_scenarios $ protocol_arg $ two_phase
           $ naive $ mutate $ random $ json $ gate_reduction $ max_schedules
           $ ring)
-
-(* --- race -------------------------------------------------------------------*)
-
-(* Adversarial certification of the dynamic detector: a tiny simulation
-   whose site-tagged events each perform three shared-state effects per
-   tick — encoding a message on the process-wide scratch buffer, bumping a
-   shared timeline, interning fresh symbols into one table. The clean run
-   routes every effect through [Sim.defer], exactly the discipline the
-   parallel tick requires, and must report zero findings; each --mutate
-   variant performs one effect kind directly on the worker domain and must
-   be flagged. Detection is group-based (logical concurrency), so a
-   mutated run fails deterministically no matter how the pool schedules
-   the groups. *)
-let race_cmd =
-  let mutate =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("direct-send", `Direct_send);
-                  ("undeferred-counter", `Undeferred_counter);
-                  ("cross-domain-intern", `Cross_domain_intern) ]))
-          None
-      & info [ "mutate" ] ~docv:"KIND"
-          ~doc:
-            "Bypass Sim.defer for one effect kind: direct-send, \
-             undeferred-counter or cross-domain-intern.")
-  in
-  let run mutate =
-    (* Force parallel ticks and the detector on: the harness certifies the
-       detector itself, whatever the caller's environment says. *)
-    Unix.putenv "DTX_DOMAINS" "4";
-    Race.set_enabled true;
-    let sim = Dtx_sim.Sim.create () in
-    let tl = Stats.Timeline.create ~bucket:1.0 in
-    let syms = Dtx_util.Intern.create "race-harness" in
-    let n_sites = 8 and ticks = 4 in
-    for tick = 1 to ticks do
-      for site = 0 to n_sites - 1 do
-        ignore
-          (Dtx_sim.Sim.schedule_at sim ~site ~time:(float_of_int tick)
-             (fun () ->
-               let time = Dtx_sim.Sim.now sim in
-               let encode () =
-                 ignore (Dtx_net.Msg.encode (Dtx_net.Msg.Commit { txn = site }))
-               in
-               let count () = Stats.Timeline.incr tl ~time in
-               let intern () =
-                 ignore
-                   (Dtx_util.Intern.intern syms
-                      (Printf.sprintf "s%d-t%d" site tick))
-               in
-               let route kind eff =
-                 if mutate = Some kind then eff ()
-                 else if not (Dtx_sim.Sim.defer eff) then eff ()
-               in
-               route `Direct_send encode;
-               route `Undeferred_counter count;
-               route `Cross_domain_intern intern))
-      done
-    done;
-    Dtx_sim.Sim.run sim;
-    Format.printf "race harness: %d sites x %d ticks, mutate=%s@." n_sites
-      ticks
-      (match mutate with
-       | None -> "none"
-       | Some `Direct_send -> "direct-send"
-       | Some `Undeferred_counter -> "undeferred-counter"
-       | Some `Cross_domain_intern -> "cross-domain-intern");
-    let clean = Race.report Format.std_formatter in
-    exit (if clean then 0 else 3)
-  in
-  Cmd.v
-    (Cmd.info "race"
-       ~doc:
-         "Certify the DTX_RACE dynamic detector: a clean deferred-effect \
-          run must report zero findings, and every --mutate variant (an \
-          effect performed directly on a worker domain) must be flagged.")
-    Term.(const run $ mutate)
-
-(* --- lint -------------------------------------------------------------------*)
-
-let lint_cmd =
-  let root =
-    Arg.(
-      value & opt string "lib"
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Library root to lint (every */*.ml under it).")
-  in
-  let allowlist =
-    Arg.(
-      value & opt string "lib/race/race_allowlist"
-      & info [ "allowlist" ] ~docv:"FILE"
-          ~doc:"Manifest of extra call-graph roots and justified statics.")
-  in
-  let mutate =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("un-deferred-send", "un-deferred-send");
-                  ("un-deferred-counter", "un-deferred-counter");
-                  ("cross-domain-intern", "cross-domain-intern");
-                  ("record-static", "record-static");
-                  ("drop-allowlist", "drop-allowlist") ]))
-          None
-      & info [ "mutate" ] ~docv:"KIND"
-          ~doc:
-            "Inject a seeded violation the lint must flag: \
-             un-deferred-send, un-deferred-counter, cross-domain-intern, \
-             record-static (each adds an in-memory fixture whose \
-             site-tagged closure mutates a static directly — the last via \
-             a plain record literal with a mutable field) or \
-             drop-allowlist (ignore the manifest's allow entries).")
-  in
-  let run root allowlist mutate =
-    exit (Dtx_race_lint.Lint.run ~root ~allowlist ~mutate ())
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static effect-discipline lint: every module-level mutable static \
-          reachable from the parallel tick must be defer-routed, \
-          domain-local or justified in the race_allowlist.")
-    Term.(const run $ root $ allowlist $ mutate)
 
 (* --- cert -------------------------------------------------------------------*)
 
@@ -1067,9 +922,6 @@ let experiment_cmd =
     Term.(const run $ figure $ quick)
 
 let () =
-  (* Long sweeps must not leak parked pool domains; every exit path —
-     including the subcommands' [exit 1] failures — joins them. *)
-  at_exit Dtx_sim.Sim.shutdown_pool;
   let doc = "DTX: distributed concurrency control for XML data (reproduction)" in
   let info = Cmd.info "dtx" ~version:"1.0.0" ~doc in
   exit
@@ -1077,4 +929,4 @@ let () =
        (Cmd.group info
           [ generate_cmd; query_cmd; update_cmd; txn_cmd; dataguide_cmd;
             locks_cmd; workload_cmd; scale_cmd; analyze_cmd; chaos_cmd;
-            explore_cmd; race_cmd; lint_cmd; cert_cmd; experiment_cmd ]))
+            explore_cmd; cert_cmd; experiment_cmd ]))

@@ -273,22 +273,6 @@ let create ~sim ~net ~n_sites config ~placements =
       history = None }
   in
   Net.set_handler net (fun ~src ~dst msg -> route t ~src ~dst msg);
-  (* Parallel-tick routing hint: mirror [route]'s participant-bound arm.
-     Those handlers write only site [dst]'s state (its lock table, store,
-     participant caches) and reach everything shared — replies, coordinator
-     reads-turned-writes, the network itself — through deferrable paths, so
-     their deliveries may run on worker domains. Coordinator-bound replies
-     and the detector's [Wfg_reply] mutate cluster-wide state and stay
-     serial. *)
-  Net.set_site_hint net
-    (Some
-       (fun dst msg ->
-         match msg with
-         | Msg.Op_ship _ | Msg.Op_undo _ | Msg.Prepare _ | Msg.Commit _
-         | Msg.Abort _ | Msg.Wfg_request | Msg.Outcome_reply _ -> dst
-         | Msg.Wfg_reply _ | Msg.Op_status _ | Msg.Vote _ | Msg.End_ack _
-         | Msg.Wake _ | Msg.Wound _ | Msg.Victim _ | Msg.Outcome_query _ ->
-           -1));
   Sim.every sim ~period:config.deadlock_period_ms (fun () ->
       if Coordinator.active coord > 0 then detect_deadlocks t;
       not (t.shutdown_requested && Coordinator.active coord = 0));
@@ -343,9 +327,6 @@ let enable_history t =
   | None ->
     let h = History.create () in
     t.history <- Some h;
-    (* The per-site access/undo sinks append to one shared history in raw
-       execution order; keep that order serial rather than defer it. *)
-    Sim.set_serial_only t.sim true;
     Coordinator.set_history t.coord h;
     Array.iter
       (fun (site : Site.t) ->

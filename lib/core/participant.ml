@@ -57,8 +57,7 @@ let rec on_site_free ctx k =
   if now >= ctx.site.Site.busy_until then k ()
   else
     ignore
-      (Sim.schedule_at ctx.sim ~site:ctx.site.Site.id
-         ~time:ctx.site.Site.busy_until (fun () ->
+      (Sim.schedule_at ctx.sim ~time:ctx.site.Site.busy_until (fun () ->
            on_site_free ctx k))
 
 let charge ctx cost = ctx.site.Site.busy_until <- Sim.now ctx.sim +. cost
@@ -181,7 +180,7 @@ let handle_op_ship ctx ~src ~txn ~attempt ~seq ops =
               let granted, work, result_nodes, st = go ops 0 0.0 0 in
               charge ctx work;
               ignore
-                (Sim.schedule ctx.sim ~site:ctx.site.Site.id ~delay:work (fun () ->
+                (Sim.schedule ctx.sim ~delay:work (fun () ->
                      let r = status ~granted ~result_nodes st in
                      cache_reply ctx ~txn ~seq r;
                      reply ctx ~dst:src ~channel:Unreliable r))
@@ -223,7 +222,7 @@ let handle_prepare ctx ~src ~txn =
           let work = ctx.cost.Cost.sched_ms in
           charge ctx work;
           ignore
-            (Sim.schedule ctx.sim ~site:ctx.site.Site.id ~delay:work (fun () ->
+            (Sim.schedule ctx.sim ~delay:work (fun () ->
                  reply ctx ~dst:src (Msg.Vote { txn; ok = true }))))
 
 (* Resolve one in-doubt transaction from its durable Prepared record: a
@@ -288,7 +287,7 @@ let handle_end ctx ~src ~txn ~commit =
         charge ctx work;
         wake_waiters ctx waiters;
         ignore
-          (Sim.schedule ctx.sim ~site:ctx.site.Site.id ~delay:work (fun () ->
+          (Sim.schedule ctx.sim ~delay:work (fun () ->
                reply ctx ~dst:src (Msg.End_ack { txn; ok = true })))
         end)
 
@@ -326,7 +325,7 @@ let rec query_outcome ctx ~txn ~tries =
         | Some base ->
           let backoff = base *. Float.of_int (1 lsl min tries 6) in
           ignore
-            (Sim.schedule ctx.sim ~site:ctx.site.Site.id ~delay:backoff (fun () ->
+            (Sim.schedule ctx.sim ~delay:backoff (fun () ->
                  query_outcome ctx ~txn ~tries:(tries + 1)))
       end
 

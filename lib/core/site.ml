@@ -62,10 +62,6 @@ let create ~id ~protocol_kind ?(deadlock_policy = Detection) ~storage ~docs () =
   List.iter
     (fun doc ->
       let replica = Doc.clone doc in
-      (* Warm the process-global doc-symbol table here, on the main
-         domain, so the first lock request for this replica — possibly on
-         a worker domain during a parallel tick — never grows it. *)
-      Table.preintern_doc replica.Doc.name;
       Protocol.add_doc protocol replica;
       Storage.store storage replica)
     docs;

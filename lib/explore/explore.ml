@@ -3,6 +3,7 @@ module Net = Dtx_net.Net
 module Msg = Dtx_net.Msg
 module Op = Dtx_update.Op
 module Protocol = Dtx_protocol.Protocol
+module Commute = Dtx_protocol.Commute_rules
 module Allocation = Dtx_frag.Allocation
 module Table = Dtx_locks.Table
 module Cluster = Dtx.Cluster

@@ -8,10 +8,10 @@
     {!Dtx_sim.Sim.set_chooser}, and walks the schedule tree depth-first.
 
     Partial-order reduction uses {e sleep sets} (Godefroid) seeded by the
-    static independence relation from {!Commute}: two pending deliveries are
-    independent when they target different sites, serve different
-    transactions, and both carry operation shipments whose payloads pairwise
-    [Commutes]. Sleep sets alone are conservative — every reachable state is
+    static independence relation from {!Dtx_protocol.Commute_rules}: two
+    pending deliveries are independent when they target different sites,
+    serve different transactions, and both carry operation shipments whose
+    payloads pairwise [Commutes]. Sleep sets alone are conservative — every reachable state is
     still visited, only provably-equivalent interleavings are skipped — so a
     clean exhaustive run is a proof over the {e whole} schedule space (unless
     [o_truncated] says a budget was hit).
@@ -99,7 +99,8 @@ type outcome = {
   o_max_depth : int;  (** longest decision sequence seen *)
   o_violating : violating_schedule list;  (** first few, with full reports *)
   o_violations : int;  (** total violations across all schedules *)
-  o_unsound : string list;  (** {!Commute.self_check} findings (gate input) *)
+  o_unsound : string list;
+      (** {!Dtx_protocol.Commute_rules.self_check} findings (gate input) *)
   o_truncated : bool;
       (** a budget cap was hit: results are a bounded, not exhaustive,
           statement *)

@@ -1,5 +1,4 @@
 module Intern = Dtx_util.Intern
-module Race = Dtx_race.Race
 
 (* A resource is a packed int: | doc_id:11 | value_id:20 | node:28 |, 59 bits.
    value_id 0 means "no value dimension"; interned value ids are stored
@@ -24,20 +23,9 @@ let value_mask = (1 lsl value_bits) - 1
 let doc_syms = Intern.create ~max_ids:doc_limit "document name"
 let value_syms = Intern.create ~max_ids:value_limit "lock value"
 
-(* Site setup pre-interns every replica's name on the main domain: the
-   symbol tables are process-global and growth assigns ids in
-   mutex-arrival order, so letting the first lock request for a document
-   intern it from a worker domain would make the id depend on the
-   parallel schedule (DTX_RACE=1 flags exactly that). After warm-up the
-   per-lock path only ever takes the hit path, which is order-free. *)
-let preintern_doc doc = ignore (Intern.intern doc_syms doc)
-
 (* Single-entry memo for the doc-name intern: derivation emits long runs of
    resources for the same physically-equal doc-name string, so the common
-   case skips the string hash entirely. The (doc, id) pair lives in ONE ref
-   cell so the memo stays consistent under concurrent writers (worker
-   domains in a parallel simulator tick): a racy read sees some complete
-   pair, never a doc matched with another doc's id. *)
+   case skips the string hash entirely. *)
 let last_doc = ref ("", -1)
 
 let doc_id doc =
@@ -199,11 +187,6 @@ type t = {
      ids land here instead of a consed list, so the (overwhelmingly common)
      no-conflict batch allocates nothing at all. *)
   mutable conflict_scratch : int array;
-  (* One shadow cell for the whole table (shards + [by_txn] + [grants]):
-     tables are per-site, so the discipline being checked is exactly
-     "only the owning site's events touch this table inside a parallel
-     section" — table granularity detects any cross-site access. *)
-  race : Race.cell;
 }
 
 let create () =
@@ -211,8 +194,7 @@ let create () =
     by_txn = Itbl.create 64;
     grants = 0;
     tracer = None;
-    conflict_scratch = Array.make 16 0;
-    race = Race.cell "locks.table" }
+    conflict_scratch = Array.make 16 0 }
 
 let dummy_entry = { holders = []; mask = 0 }
 
@@ -293,7 +275,6 @@ let rec find_holder holders txn (mode : Mode.t) =
     if h.txn = txn && h.mode = mode then Some h else find_holder rest txn mode
 
 let ungrant t ~txn r mode =
-  Race.write ~ctx:"Table.ungrant" t.race;
   let sh = shard t r in
   match Itbl.find_opt sh.entries r with
   | None -> ()
@@ -345,7 +326,6 @@ let scratch_blockers t n =
   uniq (n - 2) a.(n - 1) [ a.(n - 1) ]
 
 let acquire_all t ~txn requests =
-  Race.write ~ctx:"Table.acquire_all" t.race;
   (* First pass: collect every conflicting transaction without mutating.
      Requests route to their shard with one xor+mask; when the request mode
      is compatible with the shard's whole-shard mask no entry in the shard
@@ -421,7 +401,6 @@ let release_request t ~txn requests =
   List.iter (fun (r, mode) -> ungrant t ~txn r mode) requests
 
 let release_txn t ~txn =
-  Race.write ~ctx:"Table.release_txn" t.race;
   match Itbl.find_opt t.by_txn txn with
   | None -> []
   | Some locks ->
@@ -466,13 +445,11 @@ let release_txn t ~txn =
     !freed
 
 let holders t r =
-  Race.read ~ctx:"Table.holders" t.race;
   match Itbl.find_opt (shard t r).entries r with
   | None -> []
   | Some e -> List.map (fun h -> (h.txn, h.mode)) e.holders
 
 let locks_of t ~txn =
-  Race.read ~ctx:"Table.locks_of" t.race;
   match Itbl.find_opt t.by_txn txn with
   | None -> []
   | Some locks ->
@@ -490,14 +467,12 @@ let locks_of t ~txn =
 let lock_count t = t.grants
 
 let txn_holds t ~txn r mode =
-  Race.read ~ctx:"Table.txn_holds" t.race;
   match Itbl.find_opt (shard t r).entries r with
   | None -> false
   | Some e ->
     List.exists (fun h -> h.txn = txn && h.mode = mode && h.count > 0) e.holders
 
 let clear t =
-  Race.write ~ctx:"Table.clear" t.race;
   Array.iter
     (fun sh ->
       if sh != dummy_shard then begin

@@ -27,13 +27,6 @@ type resource
     other values, so predicate readers of one value never collide with
     writers of another. *)
 
-val preintern_doc : string -> unit
-(** Intern a document name into the process-global symbol table now, on
-    the calling (main) domain. Site setup warms every replica's name so
-    the per-lock fast path never grows the table from a worker domain —
-    growth there assigns ids in mutex-arrival order, which the parallel
-    tick cannot make deterministic (and DTX_RACE=1 reports). *)
-
 val resource : string -> int -> resource
 (** Plain structural resource (no value dimension). Node ids must fit 28
     bits; at most 2048 distinct document names and 2^20-1 distinct lock

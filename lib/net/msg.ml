@@ -141,16 +141,10 @@ let put_string b s =
 (* One process-wide scratch buffer: [encode] is off the simulation hot path
    (dispatch sizes messages arithmetically, see [size]) but round-trip
    tests and tooling still call it in tight loops; reusing the buffer makes
-   each call allocate only its result string. Not used from worker domains
-   — encoding only happens on serial paths. `dtx_cli lint` proves that
-   statically (no call path from a site-tagged handler reaches [encode]),
-   and the shadow cell re-checks it dynamically under DTX_RACE=1. *)
+   each call allocate only its result string. *)
 let encode_buf = Buffer.create 256
 
-let race_encode_buf = Dtx_race.Race.cell "Msg.encode_buf"
-
 let encode m =
-  Dtx_race.Race.write ~ctx:"Msg.encode" race_encode_buf;
   let b = encode_buf in
   Buffer.clear b;
   Buffer.add_char b (Char.chr (Kind.index (kind m)));

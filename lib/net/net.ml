@@ -1,6 +1,5 @@
 module Sim = Dtx_sim.Sim
 module Rng = Dtx_util.Rng
-module Race = Dtx_race.Race
 
 module Config = struct
   type t = {
@@ -68,23 +67,11 @@ type t = {
   mutable handler : handler option;
   mutable tracer : tracer option;
   mutable fault : fault option;
-  (* Maps (destination, message) to the site whose state the delivery
-     handler will touch, or -1 when the handler touches shared/coordinator
-     state. Site-tagged delivery events may run on worker domains during a
-     parallel simulator tick (see {!Dtx_sim.Sim}); untagged ones are
-     barriers. Installed by the cluster once routing is known. *)
-  mutable site_hint : (int -> Msg.t -> int) option;
   (* Every in-flight [dispatch] copy, keyed by its simulator event id, so a
      schedule explorer can tell which pending events are message deliveries
      (and to whom). Entries retire when the delivery event fires — including
      copies a mid-flight partition then swallows. *)
   pending : (Sim.event_id, delivery) Hashtbl.t;
-  (* Shadow cells for DTX_RACE=1: the traffic counters + loss RNG as one
-     unit, and the pending table as another. Clean code never touches
-     either from inside a parallel section — [send]/[dispatch]/retire all
-     defer — so any in-epoch access is a discipline violation. *)
-  race_counters : Race.cell;
-  race_pending : Race.cell;
 }
 
 let of_config ~sim (c : Config.t) =
@@ -104,18 +91,13 @@ let of_config ~sim (c : Config.t) =
     handler = None;
     tracer = None;
     fault = None;
-    site_hint = None;
-    pending = Hashtbl.create 16;
-    race_counters = Race.cell "Net.counters";
-    race_pending = Race.cell "Net.pending" }
+    pending = Hashtbl.create 16 }
 
 let set_handler t h = t.handler <- Some h
 
 let set_tracer t tr = t.tracer <- tr
 
 let set_fault t f = t.fault <- f
-
-let set_site_hint t h = t.site_hint <- h
 
 let latency t ~src ~dst ~bytes =
   if src = dst then 0.0
@@ -126,8 +108,7 @@ let latency t ~src ~dst ~bytes =
 let lossy_drop t ~src ~dst channel =
   src <> dst && channel = Unreliable && t.drop_pct > 0 && Rng.pct t.rng t.drop_pct
 
-let send_now t ~src ~dst ~bytes ~channel k =
-  Race.write ~ctx:"Net.send_now" t.race_counters;
+let send t ~src ~dst ~bytes ?(channel = Reliable) k =
   let delay = latency t ~src ~dst ~bytes in
   if src <> dst then begin
     t.messages <- t.messages + 1;
@@ -136,15 +117,7 @@ let send_now t ~src ~dst ~bytes ~channel k =
   if lossy_drop t ~src ~dst channel then t.dropped <- t.dropped + 1
   else ignore (Sim.schedule t.sim ~delay k)
 
-let send t ~src ~dst ~bytes ?(channel = Reliable) k =
-  (* Counters and the RNG are shared: from a worker domain during a parallel
-     tick the whole send defers, replaying in serial order on the main
-     domain. *)
-  let go () = send_now t ~src ~dst ~bytes ~channel k in
-  if not (Sim.defer go) then go ()
-
-let dispatch_now t ~src ~dst ~channel msg =
-  Race.write ~ctx:"Net.dispatch_now" t.race_counters;
+let dispatch t ~src ~dst ?(channel = Reliable) msg =
   let h =
     match t.handler with
     | Some h -> h
@@ -163,7 +136,6 @@ let dispatch_now t ~src ~dst ~channel msg =
    | Some tr -> tr ~src ~dst Send msg
    | None -> ());
   let count_drop () =
-    Race.write ~ctx:"Net.count_drop" t.race_counters;
     t.dropped <- t.dropped + 1;
     t.dropped_by_kind.(i) <- t.dropped_by_kind.(i) + 1;
     match t.tracer with
@@ -185,40 +157,22 @@ let dispatch_now t ~src ~dst ~channel msg =
       | None -> k
       | Some f ->
         (* Re-check the link when the copy actually arrives: a partition
-           (or crash) that formed in flight swallows it. The drop counters
-           are shared state, so when the delivery fired on a worker domain
-           the accounting defers to the main-domain replay. *)
+           (or crash) that formed in flight swallows it. *)
         fun () ->
           if f.f_deliverable ~time:(Sim.now t.sim) ~src ~dst then k ()
-          else if not (Sim.defer count_drop) then count_drop ()
-    in
-    (* Site-tag the delivery event when the cluster can prove the handler
-       only touches [dst]'s site state — but never while a tracer watches:
-       the tracer's [Deliver] callbacks must observe the serial causal
-       order, so traced runs keep every delivery on the main domain. *)
-    let site =
-      match t.site_hint with
-      | Some hint when t.tracer = None -> hint dst msg
-      | Some _ | None -> -1
+          else count_drop ()
     in
     let schedule_delivery delay =
       let body = deliver () in
       let id = ref None in
       let seq =
-        Sim.schedule t.sim ~site ~delay (fun () ->
+        Sim.schedule t.sim ~delay (fun () ->
             (match !id with
-             | Some seq ->
-               (* the pending table is shared across sites *)
-               let retire () =
-                 Race.write ~ctx:"Net.pending.retire" t.race_pending;
-                 Hashtbl.remove t.pending seq
-               in
-               if not (Sim.defer retire) then retire ()
+             | Some seq -> Hashtbl.remove t.pending seq
              | None -> ());
             body ())
       in
       id := Some seq;
-      Race.write ~ctx:"Net.pending.add" t.race_pending;
       Hashtbl.replace t.pending seq { d_src = src; d_dst = dst; d_msg = msg }
     in
     match t.fault with
@@ -238,17 +192,7 @@ let dispatch_now t ~src ~dst ~channel msg =
           offsets)
   end
 
-(* Traffic counters, the loss RNG, the tracer and the pending table are all
-   shared, so a dispatch issued by a site-tagged action on a worker domain
-   defers wholesale; the main-domain replay (in serial order) then performs
-   the counting, loss decision and delivery scheduling exactly as a serial
-   run would have. *)
-let dispatch t ~src ~dst ?(channel = Reliable) msg =
-  let go () = dispatch_now t ~src ~dst ~channel msg in
-  if not (Sim.defer go) then go ()
-
 let pending_deliveries t =
-  Race.read ~ctx:"Net.pending_deliveries" t.race_pending;
   Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.pending []
 
 let messages t = t.messages

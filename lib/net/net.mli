@@ -106,16 +106,6 @@ val set_fault : t -> fault option -> unit
 (** Install (or remove) the fault hook. [None] (the default) restores the
     unfaulted fast path. *)
 
-val set_site_hint : t -> (int -> Msg.t -> int) option -> unit
-(** [set_site_hint net (Some hint)] lets {!dispatch} tag delivery events
-    with [hint dst msg] — the site whose local state the handler will touch,
-    or [-1] when it touches shared or coordinator state. Site-tagged
-    deliveries become eligible for parallel execution within a simulator
-    tick ({!Dtx_sim.Sim}); the hint must only name a site when the handler
-    provably confines its writes to that site. Ignored while a {!set_tracer}
-    tracer is installed (traced runs stay serial so [Deliver] callbacks see
-    the causal order). [None] (the default) tags nothing. *)
-
 val dispatch : t -> src:int -> dst:int -> ?channel:channel -> Msg.t -> unit
 (** Ship a protocol message: its {!Msg.size} is charged as traffic (counted
     per {!Msg.Kind}), and the registered handler receives it after the link

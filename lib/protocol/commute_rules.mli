@@ -27,10 +27,10 @@
     targets and that mutation must not touch the system under analysis.
 
     Two consumers share this engine: the schedule explorer's DPOR sleep
-    sets (via the {!Dtx_explore.Commute} re-export) and the {!Protocol.commute}
-    runtime protocol, whose coordinator classifies each transaction's
-    operations against the concurrently active ones and skips or
-    intention-downgrades locks for provably-commuting operations. *)
+    sets and the {!Protocol.commute} runtime protocol, whose coordinator
+    classifies each transaction's operations against the concurrently
+    active ones and skips or intention-downgrades locks for
+    provably-commuting operations. *)
 
 type verdict = Commutes | Conflicts | Unknown
 

@@ -1,12 +1,8 @@
-module Heap = Dtx_util.Heap
 module Calqueue = Dtx_util.Calqueue
-module Dpool = Dtx_util.Dpool
-module Race = Dtx_race.Race
 
 type event = {
   time : float;
   seq : int;
-  site : int;  (* owning site for parallel ticks; -1 = unpartitioned *)
   action : unit -> unit;
   mutable cancelled : bool;
 }
@@ -15,38 +11,24 @@ type event_id = int
 
 type candidate = { c_time : float; c_seq : event_id }
 
-(* The dispatch queue is a calendar queue by default — O(1) expected push
-   and pop keep 10k-client scale runs flat where the binary heap's log n
-   starts to show. Both queues dispatch in identical (time, seq) order, so
-   the choice is invisible in any trace; DTX_SIM_QUEUE=heap selects the
-   legacy heap for the byte-identical ablation gate. *)
-type queue = Cal of event Calqueue.t | Bin of event Heap.t
-
 (* [live] maps the seq of every still-queued event to the event itself, so
    cancel can mark the event in place and a cancel aimed at an already-fired
    (or unknown) id is a true no-op — nothing is ever retained for ids that
    are no longer in the queue.
 
-   With a chooser installed the heap is demoted to a hint: the chooser picks
-   any live event, [fire] drops it from [live], and later heap pops skip
-   entries whose seq is no longer live (lazy deletion — [Heap] has no
-   arbitrary removal). *)
+   The dispatch queue is a calendar queue: O(1) expected push and pop keep
+   10k-client scale runs flat. With a chooser installed it is demoted to a
+   hint: the chooser picks any live event, [fire] drops it from [live], and
+   later pops skip entries whose seq is no longer live (lazy deletion). *)
 type t = {
   mutable clock : float;
   mutable next_seq : int;
-  queue : queue;
+  queue : event Calqueue.t;
   live : (int, event) Hashtbl.t;
   mutable cancelled_pending : int;
   mutable tracer : (time:float -> seq:int -> unit) option;
   mutable chooser : (candidate list -> event_id) option;
-  domains : int;  (* DTX_DOMAINS at create time; > 1 enables parallel ticks *)
-  mutable serial_only : bool;  (* opt-out for history/analysis consumers *)
-  race_live : Race.cell;  (* shadows [live] + queue mutation entry points *)
 }
-
-let cmp_event a b =
-  let c = compare a.time b.time in
-  if c <> 0 then c else compare a.seq b.seq
 
 (* Consistency checks (queue contents vs the [live] table) are O(pending)
    per compaction, so they hide behind an env flag. *)
@@ -56,104 +38,32 @@ let debug_checks =
   | Some _ | None -> false
 
 let create () =
-  let queue =
-    (* read per [create], not at module load, so tests can flip backends *)
-    match Sys.getenv_opt "DTX_SIM_QUEUE" with
-    | Some "heap" -> Bin (Heap.create ~cmp:cmp_event)
-    | None | Some "calendar" ->
-      Cal (Calqueue.create ~time:(fun e -> e.time) ~seq:(fun e -> e.seq) ())
-    | Some other ->
-      invalid_arg ("Sim: unknown DTX_SIM_QUEUE backend: " ^ other)
-  in
-  let domains =
-    match Sys.getenv_opt "DTX_DOMAINS" with
-    | None -> 1
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 && n <= 64 -> n
-      | _ -> invalid_arg "DTX_DOMAINS must be an integer between 1 and 64")
-  in
   { clock = 0.0;
     next_seq = 0;
-    queue;
+    queue = Calqueue.create ~time:(fun e -> e.time) ~seq:(fun e -> e.seq) ();
     live = Hashtbl.create 16;
     cancelled_pending = 0;
     tracer = None;
-    chooser = None;
-    domains;
-    serial_only = false;
-    race_live = Race.cell "sim.schedule" }
-
-let qpush t ev =
-  match t.queue with Cal q -> Calqueue.push q ev | Bin h -> Heap.push h ev
-
-let qpop t =
-  match t.queue with Cal q -> Calqueue.pop q | Bin h -> Heap.pop h
-
-let qpeek t =
-  match t.queue with Cal q -> Calqueue.peek q | Bin h -> Heap.peek h
-
-let qlength t =
-  match t.queue with Cal q -> Calqueue.length q | Bin h -> Heap.length h
+    chooser = None }
 
 let set_tracer t tr = t.tracer <- tr
 
 let set_chooser t c = t.chooser <- c
 
-let set_serial_only t v = t.serial_only <- v
-
-let domains t = t.domains
-
 let now t = t.clock
 
-(* --- deferred effects (parallel ticks) ------------------------------- *)
+let schedule_at t ~time action =
+  let time = if time < t.clock then t.clock else time in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let ev = { time; seq; action; cancelled = false } in
+  Calqueue.push t.queue ev;
+  Hashtbl.replace t.live seq ev;
+  seq
 
-(* While a worker domain executes one site's events of a parallel batch,
-   this domain-local slot holds the event's effect buffer: every schedule
-   (and, via {!defer}, every other shared-state effect such as a network
-   dispatch) is appended instead of performed, then replayed on the main
-   domain in global (seq, call) order once the batch joined. That replay
-   order is exactly the order a serial run would have performed the same
-   effects in, so sequence numbers, RNG draws and counters come out
-   byte-identical. On the main domain the slot is [None] and every
-   operation takes its normal immediate path. *)
-let sink_key : (unit -> unit) list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let defer thunk =
-  match Domain.DLS.get sink_key with
-  | Some buf ->
-    buf := thunk :: !buf;
-    true
-  | None -> false
-
-(* Id handed back for a schedule deferred from a worker: the real event is
-   created at replay time, after the caller's frame is gone. Callers on
-   parallel paths ignore schedule ids (asserted by audit, not by type);
-   [cancel] on it is a no-op. *)
-let deferred_id : event_id = -1
-
-let rec schedule_at t ?(site = -1) ~time action =
-  if
-    defer (fun () -> ignore (schedule_at t ~site ~time action))
-  then deferred_id
-  else begin
-    (* A site-tagged action inside a parallel section can only get here by
-       bypassing [defer] (no sink installed where one should be) — exactly
-       the discipline violation the detector exists to flag. *)
-    Race.write ~ctx:"Sim.schedule_at" t.race_live;
-    let time = if time < t.clock then t.clock else time in
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let ev = { time; seq; site; action; cancelled = false } in
-    qpush t ev;
-    Hashtbl.replace t.live seq ev;
-    seq
-  end
-
-let schedule t ?site ~delay action =
+let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_at t ?site ~time:(t.clock +. delay) action
+  schedule_at t ~time:(t.clock +. delay) action
 
 (* Compaction: physically drop cancelled (and chooser-retired) entries from
    the queue instead of letting lazy deletion accumulate them. A cancelled
@@ -162,10 +72,10 @@ let schedule t ?site ~delay action =
    applied on the chooser path, and nothing downstream observes it. *)
 let check_consistency t =
   if debug_checks then begin
-    if qlength t <> Hashtbl.length t.live then
+    if Calqueue.length t.queue <> Hashtbl.length t.live then
       failwith
         (Printf.sprintf "Sim: queue/live desync after compaction: %d vs %d"
-           (qlength t) (Hashtbl.length t.live));
+           (Calqueue.length t.queue) (Hashtbl.length t.live));
     Hashtbl.iter
       (fun _ ev ->
         if ev.cancelled then failwith "Sim: cancelled event survived compaction")
@@ -180,13 +90,7 @@ let compact t =
   in
   List.iter (fun seq -> Hashtbl.remove t.live seq) dead;
   t.cancelled_pending <- 0;
-  let keep ev = Hashtbl.mem t.live ev.seq in
-  (match t.queue with
-  | Cal q -> Calqueue.filter_in_place keep q
-  | Bin h ->
-    let all = Heap.to_list h in
-    Heap.clear h;
-    List.iter (fun ev -> if keep ev then Heap.push h ev) all);
+  Calqueue.filter_in_place (fun ev -> Hashtbl.mem t.live ev.seq) t.queue;
   check_consistency t
 
 (* Compact once the cancelled population passes half the live count (and a
@@ -197,7 +101,6 @@ let maybe_compact t =
   then compact t
 
 let cancel t id =
-  Race.write ~ctx:"Sim.cancel" t.race_live;
   match Hashtbl.find_opt t.live id with
   | Some ev when not ev.cancelled ->
     ev.cancelled <- true;
@@ -228,10 +131,10 @@ let fire t ev =
   if ev.cancelled then t.cancelled_pending <- t.cancelled_pending - 1
   else ev.action ()
 
-(* Pop heap entries until one is still live (lazy deletion of events a
+(* Pop queue entries until one is still live (lazy deletion of events a
    chooser already fired out of band). *)
 let rec pop_live t =
-  match qpop t with
+  match Calqueue.pop t.queue with
   | None -> None
   | Some ev -> if Hashtbl.mem t.live ev.seq then Some ev else pop_live t
 
@@ -277,12 +180,12 @@ let next_time t =
   | None -> (
     (* peek through stale queue entries without losing the live one *)
     let rec peek () =
-      match qpeek t with
+      match Calqueue.peek t.queue with
       | None -> None
       | Some ev ->
         if Hashtbl.mem t.live ev.seq then Some ev.time
         else begin
-          ignore (qpop t);
+          ignore (Calqueue.pop t.queue);
           peek ()
         end
     in
@@ -290,155 +193,22 @@ let next_time t =
   | Some _ -> (
     match candidates t with [] -> None | c :: _ -> Some c.c_time)
 
-(* --- parallel ticks --------------------------------------------------- *)
-
-(* One pool for the whole process: sims come and go (sweeps, tests), the
-   domains persist, parked between batches. Only the main domain submits. *)
-let pool = lazy (Dpool.create ())
-
-(* Join the process-wide pool's parked workers (CLI/bench exit paths). A
-   pool that never forced — serial runs — has nothing to join. *)
-let shutdown_pool () = if Lazy.is_val pool then Dpool.shutdown (Lazy.force pool)
-
-(* Execute one batch — every live event sharing the minimum timestamp — by
-   splitting it, in ascending seq order, into maximal runs of site-tagged
-   events separated by untagged ones. Untagged events (coordinator steps,
-   client submissions, the deadlock detector) touch global state and run
-   serially, exactly in seq order. A run of tagged events partitions by
-   site: different sites touch disjoint site-local state and defer every
-   shared effect (schedules, network dispatches) into per-event buffers, so
-   the runs may execute on worker domains concurrently; the buffers then
-   replay on the main domain in seq order, reproducing the serial execution
-   byte for byte. Same-site events stay in seq order within their group.
-
-   Two invariants this relies on (audited, not enforced):
-   - a site-tagged action touches only its site's state, [now], and
-     read-only global tables that no same-tick tagged action writes;
-   - tagged actions never [cancel] same-tick tagged events (cancel is
-     currently test-only). *)
-let run_section t section =
-  match section with
-  | [] -> ()
-  | [ ev ] ->
-    (* nothing to overlap with — run in place, effects undeferred *)
-    Hashtbl.remove t.live ev.seq;
-    ev.action ()
-  | evs ->
-    let groups : (int, (event * (unit -> unit) list ref) list ref) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let order =
-      List.map
-        (fun ev ->
-          Hashtbl.remove t.live ev.seq;
-          let slot = ref [] in
-          (match Hashtbl.find_opt groups ev.site with
-           | Some l -> l := (ev, slot) :: !l
-           | None -> Hashtbl.add groups ev.site (ref [ (ev, slot) ]));
-          (ev, slot))
-        evs
-    in
-    let job_lists = Hashtbl.fold (fun _ l acc -> List.rev !l :: acc) groups [] in
-    (match job_lists with
-     | [ one ] ->
-       (* a single site: already sequential, skip the deferral machinery *)
-       List.iter (fun (ev, _) -> ev.action ()) one
-     | _ ->
-       let jobs =
-         Array.of_list
-           (List.map
-              (fun group () ->
-                let (ev0 : event), _ = List.hd group in
-                Race.enter_group ~site:ev0.site;
-                Fun.protect ~finally:Race.leave_group @@ fun () ->
-                List.iter
-                  (fun ((ev : event), slot) ->
-                    Domain.DLS.set sink_key (Some slot);
-                    match ev.action () with
-                    | () -> Domain.DLS.set sink_key None
-                    | exception e ->
-                      Domain.DLS.set sink_key None;
-                      raise e)
-                  group)
-              job_lists)
-       in
-       (* The epoch brackets only the fan-out: batch collection before it
-          and the deferred-effect replay after it run serially on the main
-          domain and must never produce findings. *)
-       Race.epoch_begin ();
-       Fun.protect ~finally:Race.epoch_end (fun () ->
-           Dpool.run (Lazy.force pool) ~workers:(t.domains - 1) jobs);
-       List.iter
-         (fun (_ev, slot) -> List.iter (fun k -> k ()) (List.rev !slot))
-         order)
-
-let process_batch t evs =
-  let rec go section evs =
-    match evs with
-    | [] -> run_section t (List.rev section)
-    | (ev : event) :: rest ->
-      if not (Hashtbl.mem t.live ev.seq) then go section rest (* compacted *)
-      else if ev.cancelled then begin
-        (* same silent retirement as [fire]'s cancelled branch *)
-        Hashtbl.remove t.live ev.seq;
-        t.cancelled_pending <- t.cancelled_pending - 1;
-        go section rest
-      end
-      else if ev.site >= 0 then go (ev :: section) rest
-      else begin
-        (* untagged: a barrier — finish the tagged run, then fire it here *)
-        run_section t (List.rev section);
-        Hashtbl.remove t.live ev.seq;
-        ev.action ();
-        go [] rest
-      end
+let run ?until ?max_events t =
+  let fired = ref 0 in
+  let continue () =
+    match max_events with Some m -> !fired < m | None -> true
   in
-  go [] evs
-
-let run_parallel t =
+  let in_horizon tm =
+    match until with Some u -> tm <= u | None -> true
+  in
   let rec loop () =
-    match next_time t with
-    | None -> ()
-    | Some tm ->
-      if tm > t.clock then t.clock <- tm;
-      let rec collect acc =
-        match qpeek t with
-        | Some ev when ev.time = tm ->
-          ignore (qpop t);
-          collect (ev :: acc)
-        | _ -> acc
-      in
-      let evs =
-        List.sort (fun a b -> compare a.seq b.seq) (collect [])
-      in
-      process_batch t evs;
-      loop ()
+    if continue () then
+      match next_time t with
+      | Some tm when in_horizon tm ->
+        if step t then begin
+          incr fired;
+          loop ()
+        end
+      | _ -> ()
   in
   loop ()
-
-let run ?until ?max_events t =
-  if
-    t.domains > 1 && until = None && max_events = None && t.chooser = None
-    && t.tracer = None
-    && not t.serial_only
-  then run_parallel t
-  else begin
-    let fired = ref 0 in
-    let continue () =
-      match max_events with Some m -> !fired < m | None -> true
-    in
-    let in_horizon tm =
-      match until with Some u -> tm <= u | None -> true
-    in
-    let rec loop () =
-      if continue () then
-        match next_time t with
-        | Some tm when in_horizon tm ->
-          if step t then begin
-            incr fired;
-            loop ()
-          end
-        | _ -> ()
-    in
-    loop ()
-  end

@@ -9,21 +9,13 @@
     Time is a [float] in {e simulated milliseconds}.
 
     The dispatch queue is a calendar queue ({!Dtx_util.Calqueue}) with O(1)
-    expected operations; both it and the legacy binary heap (selectable
-    with [DTX_SIM_QUEUE=heap], read at {!create}) dispatch in the same
-    (time, seq) total order, so the backend choice cannot change a trace.
-    Setting [DTX_SIM_DEBUG=1] enables queue/live-table consistency
-    assertions after each cancelled-entry compaction.
+    expected operations, dispatching in (time, seq) order. Setting
+    [DTX_SIM_DEBUG=1] enables queue/live-table consistency assertions after
+    each cancelled-entry compaction.
 
-    {b Parallel ticks.} With [DTX_DOMAINS=n] (n > 1, read at {!create}) and
-    no chooser, tracer, horizon or event cap installed, {!run} executes each
-    batch of equal-timestamp events in parallel across a fixed domain pool:
-    events tagged with a [?site] are partitioned by site and run
-    concurrently, while untagged events act as in-batch barriers and run
-    serially in sequence order. Site-tagged actions defer every shared
-    effect — schedules and anything routed through {!defer} — into
-    per-event buffers that replay on the main domain in global sequence
-    order, so a parallel run is byte-identical to the serial one. *)
+    The simulator runs on one domain. Every result the paper reports is in
+    virtual time, which the wall-clock speed of the dispatch loop cannot
+    change. *)
 
 type t
 
@@ -36,45 +28,13 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time (ms). *)
 
-val schedule : t -> ?site:int -> delay:float -> (unit -> unit) -> event_id
+val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule sim ~delay f] runs [f] at [now sim +. delay]. [delay] must be
-    non-negative. [?site] (default [-1] = unpartitioned) tags the event as
-    touching only that site's state, making it eligible for parallel
-    execution within its tick; tag an event {e only} if its action confines
-    its writes to site-local state and routes shared effects through the
-    simulator (schedules are deferred automatically, other effects via
-    {!defer}). When called from a worker domain during a parallel section
-    the schedule itself is deferred and the returned id is a [-1] sentinel
-    ({!cancel} on it is a no-op). @raise Invalid_argument on a negative
-    delay. *)
+    non-negative. @raise Invalid_argument on a negative delay. *)
 
-val schedule_at : t -> ?site:int -> time:float -> (unit -> unit) -> event_id
+val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** [schedule_at sim ~time f] runs [f] at absolute [time] (clamped to [now] if
-    in the past). [?site] as in {!schedule}. *)
-
-val defer : (unit -> unit) -> bool
-(** [defer f] appends [f] to the executing event's effect buffer when called
-    from a site-tagged action running on a worker domain during a parallel
-    section, returning [true]; the buffered thunks replay on the main domain
-    in global sequence order after the section joins. Outside a parallel
-    section it returns [false] and the caller must perform the effect
-    immediately ([if not (Sim.defer f) then f ()]). Shared-state mutations
-    reachable from site-tagged actions (network dispatch, pending-table
-    upkeep) must route through this to keep parallel runs byte-identical. *)
-
-val set_serial_only : t -> bool -> unit
-(** [set_serial_only sim true] forces the serial dispatch loop even when
-    [DTX_DOMAINS > 1] — for consumers that observe raw execution order
-    outside the simulator (e.g. history recording). Default [false]. *)
-
-val domains : t -> int
-(** Domain count read from [DTX_DOMAINS] at {!create} (default 1). *)
-
-val shutdown_pool : unit -> unit
-(** Join the process-wide worker pool's parked domains (see
-    {!Dtx_util.Dpool.shutdown}). Call from CLI/bench exit paths; a no-op
-    when no parallel tick ever ran, and a later parallel run just
-    respawns workers. *)
+    in the past). *)
 
 val cancel : t -> event_id -> unit
 (** [cancel sim id] prevents a pending event from firing; cancelling an
@@ -104,10 +64,7 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     clock passes [until], or [max_events] events have fired. The clock ends at
     the last processed event's time. With a {!set_chooser} hook installed,
     [until] bounds the {e earliest} pending event (the chooser may still fire
-    a later one) and "timestamp order" becomes whatever the chooser picks.
-    The parallel tick path (see module docs) engages only on the
-    unrestricted form [run sim] — any of [until], [max_events], a chooser, a
-    tracer or {!set_serial_only} falls back to the serial loop. *)
+    a later one) and "timestamp order" becomes whatever the chooser picks. *)
 
 val step : t -> bool
 (** [step sim] processes exactly one event; [false] if the queue was empty. *)
@@ -131,7 +88,7 @@ val set_chooser : t -> (candidate list -> event_id) option -> unit
     event behind the timestamp frontier never rewinds the clock: the clock
     advances to [max now chosen.c_time], so [now] stays monotone and events
     the fired action schedules land in the future. With [None] (the
-    default) dispatch order is the classic (time, seq) heap order.
+    default) dispatch order is the classic (time, seq) order.
     @raise Invalid_argument if the hook returns an id that is not live. *)
 
 val set_tracer : t -> (time:float -> seq:int -> unit) option -> unit

@@ -26,12 +26,9 @@ type 'a group = {
   mutable g_last : int;  (* max seq ever enqueued — the fast-append check *)
 }
 
-module Race = Dtx_race.Race
-
 type 'a t = {
   time : 'a -> float;
   seq : 'a -> int;
-  race : Race.cell;
   mutable buckets : 'a group list array;
   mutable width : float;  (* window width; > 0, finite *)
   mutable count : int;  (* elements *)
@@ -48,7 +45,6 @@ let parked = min_int
 let create ~time ~seq () =
   { time;
     seq;
-    race = Race.cell "sim.calqueue";
     buckets = Array.make min_buckets [];
     width = 1.0;
     count = 0;
@@ -148,11 +144,7 @@ let resize q n' =
      re-anchors the frontier on the true minimum. *)
   q.cur_win <- parked
 
-(* The simulator owns the queue on the main domain; a worker has no
-   business here at all, so every entry point is a shadow write (even
-   [peek] moves the scan frontier). *)
 let push q x =
-  Race.write ~ctx:"Calqueue.push" q.race;
   let tm = q.time x in
   bucket_add q (bucket_of q tm) x;
   q.count <- q.count + 1;
@@ -218,7 +210,6 @@ let locate q =
   end
 
 let peek q =
-  Race.write ~ctx:"Calqueue.peek" q.race;
   match locate q with
   | None -> None
   | Some i -> (
@@ -227,7 +218,6 @@ let peek q =
     | [] -> assert false)
 
 let pop q =
-  Race.write ~ctx:"Calqueue.pop" q.race;
   match locate q with
   | None -> None
   | Some i -> (
@@ -247,7 +237,6 @@ let pop q =
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
 let filter_in_place f q =
-  Race.write ~ctx:"Calqueue.filter_in_place" q.race;
   let kept = ref 0 in
   let kept_groups = ref 0 in
   Array.iteri

@@ -9,7 +9,7 @@
     {!create}; the queue dispatches in strictly increasing [(time, seq)]
     order. Equal times land in the same bucket and the per-bucket lists are
     kept sorted by [(time, seq)], so FIFO tie order is exactly the binary
-    heap's — swapping one queue for the other cannot reorder a schedule.
+    heap's.
     Every sizing decision (growth, shrink, bucket width) is a pure function
     of queue content, so runs are deterministic. *)
 

@@ -55,7 +55,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h = Vec.clear h.data
-
-let to_list h = Vec.to_list h.data

@@ -1,6 +1,6 @@
-(** Binary min-heaps, parameterised by an explicit comparison. Used by the
-    discrete-event simulator for its event queue. All operations are the
-    standard O(log n) / O(1). *)
+(** Binary min-heaps, parameterised by an explicit comparison. The
+    reference oracle of the calendar queue's differential test. All
+    operations are the standard O(log n) / O(1). *)
 
 type 'a t
 
@@ -18,8 +18,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the smallest element. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** [to_list h] is every element in unspecified order (heap unchanged). *)

@@ -1,67 +1,39 @@
-module Race = Dtx_race.Race
-
 type t = {
   ids : (string, int) Hashtbl.t;
   mutable names : string array;
   mutable count : int;
   max_ids : int;
   what : string;
-  lock : Mutex.t;
-  race : Race.cell;
 }
 
 let create ?(max_ids = max_int) what =
   { ids = Hashtbl.create 64; names = Array.make 16 ""; count = 0; max_ids;
-    what; lock = Mutex.create (); race = Race.cell ("Intern." ^ what) }
+    what }
 
 let count t = t.count
 
-(* Interning mutates the table, and resource construction can now run on a
-   worker domain during a parallel simulator tick (see Dtx_sim.Sim), so the
-   whole insert path is serialized by [lock]. The mutex is uncontended in
-   serial runs and the lock-table's doc-name memo keeps it off the per-lock
-   fast path, so the cost is a handful of nanoseconds per *new* symbol.
-
-   The mutex makes the table memory-safe across domains, not id-stable: if
-   two sites grow one table inside the same parallel section, the ids come
-   out in mutex-acquisition order, which no barrier fixes. The shadow cell
-   treats a hit as a read (freely shared) and growth as a write, so exactly
-   that pattern is what DTX_RACE=1 flags. *)
 let intern t s =
-  Mutex.lock t.lock;
-  let id =
-    match Hashtbl.find_opt t.ids s with
-    | Some id ->
-      Race.read ~ctx:"Intern.hit" t.race;
-      id
-    | None ->
-      Race.write ~ctx:"Intern.grow" t.race;
-      let id = t.count in
-      if id >= t.max_ids then begin
-        Mutex.unlock t.lock;
-        invalid_arg
-          (Printf.sprintf "Intern: %s table overflow (max %d symbols)" t.what
-             t.max_ids)
-      end;
-      if id >= Array.length t.names then begin
-        let bigger = Array.make (2 * Array.length t.names) "" in
-        Array.blit t.names 0 bigger 0 t.count;
-        t.names <- bigger
-      end;
-      t.names.(id) <- s;
-      t.count <- id + 1;
-      Hashtbl.replace t.ids s id;
-      id
-  in
-  Mutex.unlock t.lock;
-  id
+  match Hashtbl.find_opt t.ids s with
+  | Some id -> id
+  | None ->
+    let id = t.count in
+    if id >= t.max_ids then
+      invalid_arg
+        (Printf.sprintf "Intern: %s table overflow (max %d symbols)" t.what
+           t.max_ids);
+    if id >= Array.length t.names then begin
+      let bigger = Array.make (2 * Array.length t.names) "" in
+      Array.blit t.names 0 bigger 0 t.count;
+      t.names <- bigger
+    end;
+    t.names.(id) <- s;
+    t.count <- id + 1;
+    Hashtbl.replace t.ids s id;
+    id
 
-let find_opt t s =
-  Race.read ~ctx:"Intern.find_opt" t.race;
-  Hashtbl.find_opt t.ids s
+let find_opt t s = Hashtbl.find_opt t.ids s
 
 let lookup t id =
-  Race.read ~ctx:"Intern.lookup" t.race;
   if id < 0 || id >= t.count then
     invalid_arg (Printf.sprintf "Intern: unknown %s id %d" t.what id);
   t.names.(id)

@@ -55,24 +55,18 @@ let pp_summary ppf s =
     s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
 
 module Timeline = struct
-  module Race = Dtx_race.Race
-
   type t = {
     bucket : float;
     table : (int, float ref) Hashtbl.t;
-    race : Race.cell;
   }
 
   let create ~bucket =
     if bucket <= 0.0 then invalid_arg "Timeline.create";
-    { bucket; table = Hashtbl.create 64; race = Race.cell "stats.timeline" }
+    { bucket; table = Hashtbl.create 64 }
 
   let slot t time = int_of_float (time /. t.bucket)
 
-  (* Shared accumulator: a site-tagged handler must bump it through
-     [Sim.defer], never directly from a worker. *)
   let add t ~time v =
-    Race.write ~ctx:"Timeline.add" t.race;
     let k = slot t time in
     match Hashtbl.find_opt t.table k with
     | Some r -> r := !r +. v

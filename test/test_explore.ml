@@ -13,7 +13,7 @@ module Protocol = Dtx_protocol.Protocol
 module Allocation = Dtx_frag.Allocation
 module Xml_parser = Dtx_xml.Parser
 module Printer = Dtx_xml.Printer
-module Commute = Dtx_explore.Commute
+module Commute = Dtx_protocol.Commute_rules
 module Explore = Dtx_explore.Explore
 
 let checkb = Alcotest.(check bool)

@@ -114,44 +114,75 @@ let test_compaction () =
   check "backlog drained" 0 (Sim.cancelled_backlog sim);
   check "queue empty" 0 (Sim.pending sim)
 
-(* Identical schedule/cancel scripts must fire identically on the calendar
-   queue and the legacy heap (DTX_SIM_QUEUE=heap) — the in-process version
-   of the byte-identical ablation gate. *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"calendar and heap backends fire identically"
-    ~count:100
+(* Schedule/cancel scripts checked against a sorted-list model of the
+   (time, seq) dispatch order. Every event whose index is a multiple of 7
+   schedules a follow-up, and the cancellations (two in three events) push
+   long scripts past the 64-cancellation compaction floor; the model also
+   tracks the backlog/pending bookkeeping that compaction resets. *)
+let prop_model_order =
+  QCheck.Test.make ~name:"calendar queue matches sorted model" ~count:100
     QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 60) (float_bound_exclusive 50.0))
-        (small_nat))
-    (fun (delays, cancel_every) ->
-      let trace backend =
-        Unix.putenv "DTX_SIM_QUEUE" backend;
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "DTX_SIM_QUEUE" "calendar")
-          (fun () ->
-            let sim = Sim.create () in
-            let log = ref [] in
-            let ids =
-              List.mapi
-                (fun i d ->
-                  Sim.schedule sim ~delay:d (fun () ->
-                      log := (i, Sim.now sim) :: !log;
-                      if i mod 7 = 0 then
-                        ignore
-                          (Sim.schedule sim ~delay:1.0 (fun () ->
-                               log := (1000 + i, Sim.now sim) :: !log))))
-                delays
-            in
-            List.iteri
-              (fun i id ->
-                if cancel_every > 0 && i mod (cancel_every + 1) = 0 then
-                  Sim.cancel sim id)
-              ids;
-            Sim.run sim;
-            !log)
+      list_of_size Gen.(1 -- 200)
+        (pair (float_bound_exclusive 50.0)
+           (make Gen.(frequencyl [ (1, false); (2, true) ]))))
+    (fun script ->
+      let sim = Sim.create () in
+      let log = ref [] in
+      let ids =
+        List.mapi
+          (fun i (d, _) ->
+            Sim.schedule sim ~delay:d (fun () ->
+                log := (i, Sim.now sim) :: !log;
+                if i mod 7 = 0 then
+                  ignore
+                    (Sim.schedule sim ~delay:1.0 (fun () ->
+                         log := (1000 + i, Sim.now sim) :: !log))))
+          script
       in
-      trace "calendar" = trace "heap")
+      List.iter2
+        (fun id (_, cancel) -> if cancel then Sim.cancel sim id)
+        ids script;
+      (* Bookkeeping model: cancelled events stay live until compaction
+         drops the whole backlog at once. *)
+      let live = ref (List.length script) and backlog = ref 0 in
+      List.iter
+        (fun (_, cancel) ->
+          if cancel then begin
+            incr backlog;
+            if !backlog >= 64 && !backlog * 2 > !live then begin
+              live := !live - !backlog;
+              backlog := 0
+            end
+          end)
+        script;
+      let bookkeeping =
+        Sim.pending sim = !live && Sim.cancelled_backlog sim = !backlog
+      in
+      Sim.run sim;
+      (* Dispatch model: pending (time, seq, label) triples, kept sorted. *)
+      let next_seq = ref (List.length script) in
+      let rec drain pending acc =
+        match pending with
+        | [] -> acc
+        | (time, _, label) :: rest ->
+          let rest =
+            if label < 1000 && label mod 7 = 0 then begin
+              let seq = !next_seq in
+              incr next_seq;
+              List.merge compare [ (time +. 1.0, seq, 1000 + label) ] rest
+            end
+            else rest
+          in
+          drain rest ((label, time) :: acc)
+      in
+      let initial =
+        List.mapi (fun i (d, cancel) -> if cancel then [] else [ (d, i, i) ])
+          script
+        |> List.concat |> List.sort compare
+      in
+      bookkeeping && !log = drain initial []
+      && Sim.pending sim = 0
+      && Sim.cancelled_backlog sim = 0)
 
 let test_run_until () =
   let sim = Sim.create () in
@@ -235,4 +266,4 @@ let () =
           Alcotest.test_case "every with start" `Quick test_every_start_offset ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_deterministic;
-          QCheck_alcotest.to_alcotest prop_backends_agree ] ) ]
+          QCheck_alcotest.to_alcotest prop_model_order ] ) ]

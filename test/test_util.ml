@@ -1,9 +1,10 @@
-(* Unit + property tests for Dtx_util: Vec, Heap, Rng, Stats. *)
+(* Unit + property tests for Dtx_util: Vec, Heap, Rng, Stats, Intern. *)
 
 module Vec = Dtx_util.Vec
 module Heap = Dtx_util.Heap
 module Rng = Dtx_util.Rng
 module Stats = Dtx_util.Stats
+module Intern = Dtx_util.Intern
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -278,6 +279,22 @@ let test_chart_single_point () =
   let out = Dtx_util.Chart.render [ ("solo", [ (5.0, 5.0) ]) ] in
   checkb "renders" true (String.contains out '*')
 
+(* --- Intern --------------------------------------------------------------- *)
+
+(* A full table refuses a fresh symbol and leaves its existing state
+   intact: nothing is half-inserted by the failed call. *)
+let test_intern_overflow () =
+  let t = Intern.create ~max_ids:2 "test symbol" in
+  let a = Intern.intern t "a" and b = Intern.intern t "b" in
+  Alcotest.check_raises "third symbol overflows"
+    (Invalid_argument "Intern: test symbol table overflow (max 2 symbols)")
+    (fun () -> ignore (Intern.intern t "c"));
+  check "count unchanged" 2 (Intern.count t);
+  Alcotest.(check string) "first id" "a" (Intern.lookup t a);
+  Alcotest.(check string) "second id" "b" (Intern.lookup t b);
+  check "re-intern keeps id" a (Intern.intern t "a");
+  checkb "failed symbol absent" true (Intern.find_opt t "c" = None)
+
 let () =
   Alcotest.run "util"
     [ ( "vec",
@@ -311,4 +328,6 @@ let () =
         [ Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "timeline" `Quick test_timeline;
-          QCheck_alcotest.to_alcotest prop_percentile_bounds ] ) ]
+          QCheck_alcotest.to_alcotest prop_percentile_bounds ] );
+      ( "intern",
+        [ Alcotest.test_case "overflow" `Quick test_intern_overflow ] ) ]
