@@ -4,9 +4,8 @@
 
 .PHONY: check build test test-locks-unsharded bench bench-smoke bench-json \
 	bench-scale bench-scale-smoke bench-commute bench-commute-smoke \
-	ablation-identical analyze analyze-smoke \
-	analyze-mutations chaos chaos-smoke explore explore-smoke \
-	explore-mutations cert cert-smoke cert-mutations clean
+	ablation-identical analyze analyze-smoke chaos chaos-smoke explore \
+	explore-smoke cert cert-smoke clean
 
 check: build test test-locks-unsharded bench-smoke bench-scale-smoke \
 	bench-commute-smoke analyze-smoke chaos-smoke explore-smoke cert-smoke \
@@ -88,13 +87,6 @@ chaos:
 chaos-smoke:
 	dune exec bin/dtx_cli.exe -- chaos --smoke
 
-# The checker's self-test: each seeded trace mutation must make the
-# analyzer fail. `!` inverts, so this target fails if a mutation slips by.
-analyze-mutations:
-	! dune exec bin/dtx_cli.exe -- analyze --mutate compat-flip
-	! dune exec bin/dtx_cli.exe -- analyze --mutate skip-release
-	! dune exec bin/dtx_cli.exe -- analyze --mutate commit-reorder
-
 # Schedule-space model checking: every inequivalent message-delivery
 # schedule of the pinned scenarios, DPOR-reduced by the static
 # commutativity analysis, with the invariant checker as oracle. Covers
@@ -116,15 +108,6 @@ explore-smoke:
 	dune exec bin/dtx_cli.exe -- explore --scenario ref --protocol commute \
 	  --gate-reduction 2.0
 
-# Seeded protocol bugs the explorer must reach: each mutated run has to
-# find a violating schedule (so the plain run exits non-zero, inverted by
-# `!`). skip-release is the schedule-dependent one random jitter misses.
-explore-mutations:
-	! dune exec bin/dtx_cli.exe -- explore --scenario ref --mutate compat-flip
-	! dune exec bin/dtx_cli.exe -- explore --scenario ref --mutate skip-release
-	! dune exec bin/dtx_cli.exe -- explore --scenario ref --two-phase \
-	  --mutate commit-reorder
-
 # Symbolic soundness certifier (Dtx_cert): lock-coverage soundness of every
 # registered protocol against the semantic conflict oracle, FSM
 # exhaustiveness of the coordinator/participant classification tables
@@ -138,14 +121,6 @@ cert:
 # itself when the bounded-universe pass exceeds the budget).
 cert-smoke:
 	dune exec bin/dtx_cli.exe -- cert --max-seconds 60 > /dev/null
-
-# The certifier's self-test: each seeded fault must produce a non-zero
-# exit. `!` inverts, so this target fails if a fault certifies clean.
-cert-mutations:
-	! dune exec bin/dtx_cli.exe -- cert --mutate flip-compat-bit > /dev/null
-	! dune exec bin/dtx_cli.exe -- cert --mutate drop-handler > /dev/null
-	! dune exec bin/dtx_cli.exe -- cert --mutate wrong-caps > /dev/null
-	! dune exec bin/dtx_cli.exe -- cert --mutate weaken-commute > /dev/null
 
 clean:
 	dune clean

@@ -28,6 +28,7 @@ module Table = Dtx_locks.Table
 module Mode = Dtx_locks.Mode
 module Wfg = Dtx_locks.Wfg
 module Rng = Dtx_util.Rng
+module Json = Dtx_util.Json
 
 let ppf = Format.std_formatter
 
@@ -44,13 +45,10 @@ let print_figures figs =
       | None -> ())
     figs
 
-let run_figure ~quick = function
-  | "fig9" -> print_figures (Experiments.fig9 ~quick ())
-  | "fig10" -> print_figures (Experiments.fig10 ~quick ())
-  | "fig11a" -> print_figures (Experiments.fig11a ~quick ())
-  | "fig11b" -> print_figures (Experiments.fig11b ~quick ())
-  | "fig12" -> print_figures (Experiments.fig12 ~quick ())
-  | other -> Format.fprintf ppf "unknown figure %s@." other
+let run_figure ~quick name =
+  match Experiments.named name with
+  | Some driver -> print_figures (driver ~quick)
+  | None -> Format.fprintf ppf "unknown figure %s@." name
 
 let summary ~quick =
   Format.fprintf ppf "== Qualitative checks against the paper ==@.";
@@ -165,20 +163,6 @@ let microbenches ~smoke =
 
 (* --- JSON export (machine-readable perf trajectory) --------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let bench_json ~out () =
   let micro = microbench_results ~smoke:false in
   (* Fig.-9-style quick configurations: read-only transactions, both paper
@@ -206,10 +190,10 @@ let bench_json ~out () =
               else 0.0
             in
             Printf.sprintf
-              "    {\"protocol\": \"%s\", \"clients\": %d, \"committed\": %d, \
+              "    {\"protocol\": %s, \"clients\": %d, \"committed\": %d, \
                \"throughput_txn_per_s\": %.3f, \"mean_latency_ms\": %.3f, \
                \"deadlocks\": %d}"
-              (json_escape (Protocol.kind_to_string kind))
+              (Json.string (Protocol.kind_to_string kind))
               n_clients r.Workload.committed throughput
               r.Workload.response.Dtx_util.Stats.mean r.Workload.deadlocks)
           [ 8; 12; 24; 48 ])
@@ -220,7 +204,7 @@ let bench_json ~out () =
       (fun row ->
         let name, _, _ = row in
         Option.map
-          (fun e -> Printf.sprintf "    \"%s\": %.1f" (json_escape name) e)
+          (fun e -> Printf.sprintf "    %s: %.1f" (Json.string name) e)
           (sel row))
       micro
   in
@@ -427,12 +411,12 @@ let commute_bench ~smoke ~out () =
       List.map
         (fun (label, proto, t, c, lr, b, d, v) ->
           Printf.sprintf
-            "    {\"mix\": \"%s\", \"protocol\": \"%s\", \
+            "    {\"mix\": %s, \"protocol\": %s, \
              \"throughput_txn_per_s\": %.3f, \"committed\": %d, \
              \"lock_requests\": %d, \"blocked_ops\": %d, \"deadlocks\": %d, \
              \"validation_aborts\": %d}"
-            (json_escape label)
-            (json_escape (Protocol.kind_to_string proto))
+            (Json.string label)
+            (Json.string (Protocol.kind_to_string proto))
             t c lr b d v)
         results
     in

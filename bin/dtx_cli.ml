@@ -7,7 +7,8 @@
      dtx locks      -f doc.xml -e 'REMOVE //item' [--protocol node2pl]
      dtx workload   --protocol commute --clients 50 --update-pct 20 ...
      dtx scale      --sites 1000 --clients 10000   extreme-scale single run
-     dtx explore    --scenario ref [--naive] [--mutate skip-release] [--json]
+     dtx explore    --scenario ref [--naive] [--json]
+     dtx selftest                                 every seeded fault is caught
      dtx experiment fig9 [--quick]                regenerate a paper figure
 
    Everything runs on the simulated cluster; see bench/main.exe for the
@@ -32,6 +33,7 @@ module Workload = Dtx_workload.Workload
 module Experiments = Dtx_workload.Experiments
 module Allocation = Dtx_frag.Allocation
 module Stats = Dtx_util.Stats
+module Json = Dtx_util.Json
 module Protocol_arg = Dtx_cli_args.Protocol_arg
 
 let read_file path =
@@ -333,80 +335,6 @@ let scale_cmd =
 module Checker = Dtx_check.Checker
 module Lattice = Dtx_check.Lattice
 
-(* Seeded trace mutations for the checker's self-test: each hides one event
-   from the analyzer (never from the actual run), so a healthy execution is
-   presented with an unhealthy trace — which the analyzer must reject. *)
-type mutation = Compat_flip | Skip_release | Commit_reorder
-
-let mutation_conv =
-  Arg.conv
-    ( (fun s ->
-        match String.lowercase_ascii s with
-        | "compat-flip" -> Ok Compat_flip
-        | "skip-release" -> Ok Skip_release
-        | "commit-reorder" -> Ok Commit_reorder
-        | other -> Error (`Msg ("unknown mutation " ^ other))),
-      fun ppf m ->
-        Format.pp_print_string ppf
-          (match m with
-           | Compat_flip -> "compat-flip"
-           | Skip_release -> "skip-release"
-           | Commit_reorder -> "commit-reorder") )
-
-let mutation_tap = function
-  | None | Some Compat_flip -> None
-  | Some Skip_release ->
-    (* Hide one end-of-transaction lock release: the lock-balance mirror
-       must see the transaction finish still holding it. *)
-    let armed = ref true in
-    Some
-      (fun ev ->
-        match ev with
-        | Checker.Lock { ev = Table.Released { kind = Table.End_of_txn; _ }; _ }
-          when !armed ->
-          armed := false;
-          None
-        | _ -> Some ev)
-  | Some Commit_reorder ->
-    (* Hide the delivery of one yes vote: the later Commit now precedes a
-       complete prepare round, which the 2PC-order check must flag. *)
-    let armed = ref true in
-    Some
-      (fun ev ->
-        match ev with
-        | Checker.Net
-            { dir = Dtx_net.Net.Deliver;
-              msg = Dtx_net.Msg.Vote { ok = true; _ };
-              _
-            }
-          when !armed ->
-          armed := false;
-          None
-        | _ -> Some ev)
-
-let check_lattice ~flip =
-  let result =
-    if flip then
-      (* One compatibility cell flipped (the paper's key conflict, Fig. 6):
-         the derived masks and the matrix now disagree. *)
-      let compat a b =
-        match (a, b) with
-        | (Mode.ST, Mode.IX) | (Mode.IX, Mode.ST) -> true
-        | _ -> Mode.compatible a b
-      in
-      Lattice.check_with ~compat ~conflict_mask:Mode.conflict_mask
-        ~intention_for:Mode.intention_for ()
-    else Lattice.check ()
-  in
-  match result with
-  | Ok () ->
-    print_endline "mode-lattice: ok (64 pairs, masks, hierarchy)";
-    true
-  | Error msgs ->
-    Printf.printf "mode-lattice: %d violation(s)\n" (List.length msgs);
-    List.iter (fun m -> Printf.printf "  [mode-lattice] %s\n" m) msgs;
-    false
-
 let analyze_cmd =
   let seeds =
     Arg.(value & opt (list int) [ 7; 107 ] & info [ "seeds" ] ~docv:"SEEDS"
@@ -422,37 +350,26 @@ let analyze_cmd =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Tiny single-seed configuration (the make-check gate).")
   in
-  let mutate =
-    Arg.(value & opt (some mutation_conv) None & info [ "mutate" ] ~docv:"MUT"
-           ~doc:"Checker self-test: compat-flip, skip-release or \
-                 commit-reorder. Runs a small configuration whose trace is \
-                 mutated before analysis; the run must then FAIL.")
-  in
   let ring =
     Arg.(value & opt int 256 & info [ "ring" ]
            ~doc:"Trace ring-buffer capacity (violation suffix length).")
   in
-  let run seeds clients sites txns ops upd mb smoke mutate ring protocols =
+  let run seeds clients sites txns ops upd mb smoke ring protocols =
     let clients, sites, txns, ops, mb, seeds =
-      if smoke || mutate <> None then
+      if smoke then
         (6, 3, 3, 4, 2.0, [ List.nth_opt seeds 0 |> Option.value ~default:7 ])
       else (clients, sites, txns, ops, mb, seeds)
     in
-    (match mutate with
-     | Some Compat_flip ->
-       (* Only the static lattice check is involved in this mutation. *)
-       exit (if check_lattice ~flip:true then 0 else 1)
-     | _ -> if not (check_lattice ~flip:false) then exit 1);
+    (match Lattice.check () with
+     | Ok () -> print_endline "mode-lattice: ok (64 pairs, masks, hierarchy)"
+     | Error msgs ->
+       Printf.printf "mode-lattice: %d violation(s)\n" (List.length msgs);
+       List.iter (fun m -> Printf.printf "  [mode-lattice] %s\n" m) msgs;
+       exit 1);
     let base =
       { Workload.default_params with
         n_clients = clients; n_sites = sites; txns_per_client = txns;
         ops_per_txn = ops; update_txn_pct = upd; base_size_mb = mb }
-    in
-    let configs =
-      match mutate with
-      | Some Skip_release -> [ (Protocol.xdgl, false) ]
-      | Some Commit_reorder -> [ (Protocol.xdgl, true) ]
-      | _ -> protocols
     in
     let failed = ref false in
     List.iter
@@ -473,8 +390,7 @@ let analyze_cmd =
               let r =
                 Workload.run
                   ~instrument:(fun cluster ->
-                    Checker.attach ?mutate:(mutation_tap mutate) checker
-                      cluster)
+                    Checker.attach checker cluster)
                   p
               in
               match Checker.finish checker with
@@ -489,7 +405,7 @@ let analyze_cmd =
                   (fun v -> Format.printf "%a@." Checker.pp_violation v)
                   vs
             end)
-          configs)
+          protocols)
       seeds;
     if !failed then exit 1
   in
@@ -498,7 +414,7 @@ let analyze_cmd =
        ~doc:"Run seeded workloads under every protocol with the invariant \
              checker attached; exit non-zero on the first violation.")
     Term.(const run $ seeds $ clients $ sites $ txns $ ops $ upd $ mb $ smoke
-          $ mutate $ ring $ Protocol_arg.configs_arg)
+          $ ring $ Protocol_arg.configs_arg)
 
 (* --- chaos ------------------------------------------------------------------*)
 
@@ -635,15 +551,6 @@ let chaos_cmd =
 
 module Explore = Dtx_explore.Explore
 
-let explore_mutation_conv =
-  Arg.conv
-    ( (fun s ->
-        match Explore.mutation_of_string s with
-        | Some m -> Ok m
-        | None -> Error (`Msg ("unknown mutation " ^ s))),
-      fun ppf m ->
-        Format.pp_print_string ppf (Explore.mutation_to_string m) )
-
 let explore_cmd =
   let scenario =
     Arg.(value & opt string "ref" & info [ "scenario" ] ~docv:"NAME"
@@ -660,13 +567,6 @@ let explore_cmd =
     Arg.(value & flag & info [ "naive" ]
            ~doc:"Disable the commutativity-driven sleep sets and explore \
                  every delivery order (the reduction baseline).")
-  in
-  let mutate =
-    Arg.(value & opt (some explore_mutation_conv) None
-           & info [ "mutate" ] ~docv:"MUT"
-               ~doc:"Seed a protocol bug — compat-flip, skip-release or \
-                     commit-reorder — that at least one explored schedule \
-                     must expose; the command then exits non-zero.")
   in
   let random =
     Arg.(value & opt int 0 & info [ "random" ] ~docv:"N"
@@ -692,7 +592,7 @@ let explore_cmd =
            & info [ "ring" ]
                ~doc:"Per-replay trace ring-buffer capacity.")
   in
-  let run scenario list_scenarios protocol two_phase naive mutate random json
+  let run scenario list_scenarios protocol two_phase naive random json
       gate_reduction max_schedules ring =
     if list_scenarios then begin
       List.iter
@@ -715,14 +615,14 @@ let explore_cmd =
       (fun scen ->
         let cfg =
           { Explore.default_config with
-            Explore.protocol; two_phase; naive; mutate; max_schedules; ring }
+            Explore.protocol; two_phase; naive; max_schedules; ring }
         in
         let o = Explore.explore ~config:cfg scen in
         let baseline =
           if gate_reduction > 0.0 && not naive then
             Some
               (Explore.explore
-                 ~config:{ cfg with Explore.naive = true; mutate = None }
+                 ~config:{ cfg with Explore.naive = true }
                  scen)
           else None
         in
@@ -741,13 +641,10 @@ let explore_cmd =
           else None
         in
         let label =
-          Printf.sprintf "%s %s%s%s%s" scen.Explore.sc_name
+          Printf.sprintf "%s %s%s%s" scen.Explore.sc_name
             (Protocol.kind_to_string protocol)
             (if two_phase then "+2pc" else "")
             (if naive then " naive" else "")
-            (match mutate with
-             | None -> ""
-             | Some m -> " mutate=" ^ Explore.mutation_to_string m)
         in
         if json then begin
           let fopt = function
@@ -759,19 +656,15 @@ let explore_cmd =
             | None -> "null"
           in
           Printf.printf
-            "{\"scenario\":\"%s\",\"protocol\":\"%s\",\"two_phase\":%b,\
-             \"naive\":%b,\"mutate\":%s,\"schedules_explored\":%d,\
+            "{\"scenario\":%s,\"protocol\":%s,\"two_phase\":%b,\
+             \"naive\":%b,\"schedules_explored\":%d,\
              \"schedules_pruned\":%d,\"violations\":%d,\"max_depth\":%d,\
              \"truncated\":%b,\"unsound\":%d,\"reduction\":%s,\
              \"random_seeds\":%d,\"random_violating_seeds\":%s,\
              \"violation_detail\":[%s]}\n"
-            scen.Explore.sc_name
-            (Protocol.kind_to_string protocol)
+            (Json.string scen.Explore.sc_name)
+            (Json.string (Protocol.kind_to_string protocol))
             two_phase naive
-            (match mutate with
-             | None -> "null"
-             | Some m ->
-               Printf.sprintf "\"%s\"" (Explore.mutation_to_string m))
             o.Explore.o_explored o.Explore.o_pruned o.Explore.o_violations
             o.Explore.o_max_depth o.Explore.o_truncated
             (List.length o.Explore.o_unsound)
@@ -827,8 +720,7 @@ let explore_cmd =
              gate_reduction;
            failed := true
          | _ -> ());
-        if o.Explore.o_truncated && (gate_reduction > 0.0 || mutate = None)
-        then begin
+        if o.Explore.o_truncated then begin
           Format.printf "  truncated run cannot certify the schedule space@.";
           failed := true
         end)
@@ -842,35 +734,14 @@ let explore_cmd =
              operation-commutativity analysis), with the invariant checker \
              as oracle; exit non-zero on any violation.")
     Term.(const run $ scenario $ list_scenarios $ protocol_arg $ two_phase
-          $ naive $ mutate $ random $ json $ gate_reduction $ max_schedules
+          $ naive $ random $ json $ gate_reduction $ max_schedules
           $ ring)
 
 (* --- cert -------------------------------------------------------------------*)
 
 module Cert = Dtx_cert.Cert
 
-let cert_mutation_conv =
-  Arg.conv
-    ( (fun s ->
-        match Cert.mutation_of_string (String.lowercase_ascii s) with
-        | Some m -> Ok m
-        | None -> Error (`Msg ("unknown mutation " ^ s))),
-      fun ppf m -> Format.pp_print_string ppf (Cert.mutation_to_string m) )
-
 let cert_cmd =
-  let mutate =
-    Arg.(
-      value
-      & opt (some cert_mutation_conv) None
-      & info [ "mutate" ] ~docv:"KIND"
-          ~doc:
-            "Certifier self-test — seed one fault it must reject: \
-             flip-compat-bit (ST/IX made compatible in the collision \
-             check), drop-handler (a reachable FSM pair silently dropped), \
-             wrong-caps (a probe protocol whose capability flags lie) or \
-             weaken-commute (gap-blind commutativity verdicts). The \
-             command must then exit non-zero.")
-  in
   let max_seconds =
     Arg.(
       value & opt float 60.0
@@ -879,8 +750,7 @@ let cert_cmd =
             "Budget for the bounded-universe pass; exceeding it fails \
              certification (the cert-smoke gate).")
   in
-  let run mutate max_seconds =
-    exit (Cert.run ?mutate ~max_seconds ())
+  let run max_seconds = exit (Cert.run ~max_seconds ())
   in
   Cmd.v
     (Cmd.info "cert"
@@ -892,7 +762,33 @@ let cert_cmd =
           crash/restart recovery, WAL crash-point recovery mapping, and \
           registry-capability coherence. Prints a JSON report; exits \
           non-zero on any violation.")
-    Term.(const run $ mutate $ max_seconds)
+    Term.(const run $ max_seconds)
+
+(* --- selftest ---------------------------------------------------------------*)
+
+module Faults = Dtx_faults.Faults
+
+let selftest_cmd =
+  let run () =
+    let failed = ref false in
+    List.iter
+      (fun (e : Faults.t) ->
+        match Faults.assess e with
+        | Ok verdict -> Printf.printf "%-24s %s\n%!" e.name verdict
+        | Error why ->
+          failed := true;
+          Printf.printf "%-24s FAILED: %s\n%!" e.name why)
+      Faults.all;
+    if !failed then exit 1
+  in
+  Cmd.v
+    (Cmd.info "selftest"
+       ~doc:
+         "Run every seeded fault of the registry (checker taps, the lattice \
+          flip, certifier faults): each must be caught by the check it names, \
+          and the same run without the fault must be clean. Exits non-zero \
+          otherwise.")
+    Term.(const run $ const ())
 
 (* --- experiment -------------------------------------------------------------*)
 
@@ -904,15 +800,10 @@ let experiment_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale.") in
   let run figure quick =
     let figs =
-      match figure with
-      | "fig9" -> Experiments.fig9 ~quick ()
-      | "fig10" -> Experiments.fig10 ~quick ()
-      | "fig11a" -> Experiments.fig11a ~quick ()
-      | "fig11b" -> Experiments.fig11b ~quick ()
-      | "fig12" -> Experiments.fig12 ~quick ()
-      | "all" -> Experiments.all ~quick ()
-      | other ->
-        Printf.eprintf "unknown figure %s\n" other;
+      match Experiments.named figure with
+      | Some driver -> driver ~quick
+      | None ->
+        Printf.eprintf "unknown figure %s\n" figure;
         exit 1
     in
     List.iter (fun f -> Format.printf "%a@.@." Experiments.pp_figure f) figs
@@ -929,4 +820,4 @@ let () =
        (Cmd.group info
           [ generate_cmd; query_cmd; update_cmd; txn_cmd; dataguide_cmd;
             locks_cmd; workload_cmd; scale_cmd; analyze_cmd; chaos_cmd;
-            explore_cmd; cert_cmd; experiment_cmd ]))
+            explore_cmd; cert_cmd; selftest_cmd; experiment_cmd ]))

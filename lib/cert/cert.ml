@@ -21,8 +21,9 @@
        checked against observable behaviour (DataGuide presence, cache
        hits, validation wiring, alias resolution).
 
-   Seeded faults ([mutation]) invert each pass for self-testing: a correct
-   certifier must reject all four. *)
+   Seeded faults ([mutation]) invert each pass for self-testing; the
+   fault registry ([Dtx_faults.Faults]) runs all four and requires the pass
+   each one sits in to reject it. *)
 
 module Ast = Dtx_xpath.Ast
 module Eval = Dtx_xpath.Eval
@@ -44,6 +45,7 @@ module Coordinator = Dtx.Coordinator
 module Participant = Dtx.Participant
 module Wal = Dtx.Wal
 module Explore = Dtx_explore.Explore
+module Json = Dtx_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Seeded faults                                                       *)
@@ -59,15 +61,6 @@ let mutation_to_string = function
   | Drop_handler -> "drop-handler"
   | Wrong_caps -> "wrong-caps"
   | Weaken_commute -> "weaken-commute"
-
-let mutation_of_string = function
-  | "flip-compat-bit" -> Some Flip_compat_bit
-  | "drop-handler" -> Some Drop_handler
-  | "wrong-caps" -> Some Wrong_caps
-  | "weaken-commute" -> Some Weaken_commute
-  | _ -> None
-
-let mutations = [ Flip_compat_bit; Drop_handler; Wrong_caps; Weaken_commute ]
 
 (* ------------------------------------------------------------------ *)
 (* The bounded universe                                                *)
@@ -378,14 +371,6 @@ let build_instance_oracle ops =
 (* ------------------------------------------------------------------ *)
 (* Lock-collision machinery                                            *)
 
-(* The [Flip_compat_bit] fault: ST and IX — the incompatibility driving the
-   paper's Fig. 6 deadlock — are treated as compatible, exactly the
-   flipped-lattice fault the explorer's mutation gate uses. *)
-let flipped_compatible m1 m2 =
-  match (m1, m2) with
-  | Mode.ST, Mode.IX | Mode.IX, Mode.ST -> true
-  | _ -> Mode.compatible m1 m2
-
 let lists_conflict compat fp1 fp2 =
   List.exists
     (fun (r1, m1) ->
@@ -626,7 +611,7 @@ let classify_coordinator ~mutate phase kind =
     | Coordinator.Ignored _ -> C_ignored
     | Coordinator.Impossible _ -> C_impossible
 
-let classify_participant ~mutate:_ st kind =
+let classify_participant st kind =
   match Participant.classify_delivery st kind with
   | Participant.Handled _ -> C_handled
   | Participant.Ignored _ -> C_ignored
@@ -983,7 +968,7 @@ let fsm_audit ~mutate () =
   in
   let part_report =
     audit "participant" participant_states
-      (classify_participant ~mutate)
+      classify_participant
       Participant.pstate_to_string reached.part
   in
   let required_missing =
@@ -1104,7 +1089,9 @@ let caps_audit ~mutate () =
 let certify ?mutate ?(max_seconds = 60.0) () =
   let t0 = Unix.gettimeofday () in
   let compat =
-    if mutate = Some Flip_compat_bit then flipped_compatible
+    (* The [Flip_compat_bit] fault: the ST/IX incompatibility driving the
+       paper's Fig. 6 deadlock is treated as compatible. *)
+    if mutate = Some Flip_compat_bit then Dtx_check.Lattice.st_ix_flipped
     else Mode.compatible
   in
   let ops = parse_templates () in
@@ -1186,24 +1173,6 @@ let certify ?mutate ?(max_seconds = 60.0) () =
 (* ------------------------------------------------------------------ *)
 (* JSON rendering                                                      *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_strings l =
-  "[" ^ String.concat ", " (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l)
-  ^ "]"
-
 let to_json r =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -1211,17 +1180,17 @@ let to_json r =
   add "  \"mutation\": %s,\n"
     (match r.r_mutation with
     | None -> "null"
-    | Some m -> "\"" ^ mutation_to_string m ^ "\"");
+    | Some m -> Json.string (mutation_to_string m));
   add "  \"protocols\": [\n";
   List.iteri
     (fun i p ->
       add
-        "    {\"name\": \"%s\", \"pairs\": %d, \"conflicting\": %d, \
+        "    {\"name\": %s, \"pairs\": %d, \"conflicting\": %d, \
          \"known_gaps\": %d, \"false_collisions\": %d, \"precision\": %.4f, \
          \"commute_checked\": %d, \"violations\": %s}%s\n"
-        (json_escape p.pr_name) p.pr_pairs p.pr_conflicting p.pr_known_gaps
+        (Json.string p.pr_name) p.pr_pairs p.pr_conflicting p.pr_known_gaps
         p.pr_false_collisions p.pr_precision p.pr_commute_checked
-        (json_strings p.pr_violations)
+        (Json.strings p.pr_violations)
         (if i = List.length r.r_protocols - 1 then "" else ","))
     r.r_protocols;
   add "  ],\n";
@@ -1229,23 +1198,23 @@ let to_json r =
   List.iteri
     (fun i f ->
       add
-        "    {\"machine\": \"%s\", \"handled\": %d, \"ignored\": %d, \
+        "    {\"machine\": %s, \"handled\": %d, \"ignored\": %d, \
          \"impossible\": %d, \"dropped\": %d, \"reached_pairs\": %d, \
          \"violations\": %s}%s\n"
-        (json_escape f.f_machine) f.f_handled f.f_ignored f.f_impossible
+        (Json.string f.f_machine) f.f_handled f.f_ignored f.f_impossible
         f.f_dropped f.f_reached
-        (json_strings f.f_violations)
+        (Json.strings f.f_violations)
         (if i = List.length r.r_fsm - 1 then "" else ","))
     r.r_fsm;
   add "  ],\n";
-  add "  \"required_missing\": %s,\n" (json_strings r.r_required_missing);
-  add "  \"wal_violations\": %s,\n" (json_strings r.r_wal_violations);
+  add "  \"required_missing\": %s,\n" (Json.strings r.r_required_missing);
+  add "  \"wal_violations\": %s,\n" (Json.strings r.r_wal_violations);
   add "  \"caps\": [\n";
   List.iteri
     (fun i c ->
-      add "    {\"name\": \"%s\", \"violations\": %s}%s\n"
-        (json_escape c.c_name)
-        (json_strings c.c_violations)
+      add "    {\"name\": %s, \"violations\": %s}%s\n"
+        (Json.string c.c_name)
+        (Json.strings c.c_violations)
         (if i = List.length r.r_caps - 1 then "" else ","))
     r.r_caps;
   add "  ],\n";
@@ -1256,8 +1225,8 @@ let to_json r =
   add "}";
   Buffer.contents b
 
-let run ?mutate ?max_seconds () =
-  let r = certify ?mutate ?max_seconds () in
+let run ?max_seconds () =
+  let r = certify ?max_seconds () in
   print_string (to_json r);
   print_newline ();
   if r.r_certified then 0 else 1

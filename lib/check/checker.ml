@@ -9,6 +9,7 @@ module Participant = Dtx.Participant
 module Cluster = Dtx.Cluster
 module History = Dtx.History
 module Site = Dtx.Site
+module Json = Dtx_util.Json
 
 type event =
   | Lock of { site : int; ev : Table.event }
@@ -97,29 +98,12 @@ let pp_violation ppf v =
   end;
   Format.fprintf ppf "@]"
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let violation_json v =
   let opt = function Some i -> string_of_int i | None -> "null" in
   Printf.sprintf
     "{\"invariant\":%s,\"txn\":%s,\"site\":%s,\"time_ms\":%.3f,\"detail\":%s}"
-    (json_string v.v_invariant) (opt v.v_txn) (opt v.v_site) v.v_time
-    (json_string v.v_detail)
+    (Json.string v.v_invariant) (opt v.v_txn) (opt v.v_site) v.v_time
+    (Json.string v.v_detail)
 
 (* All mirror state is keyed by plain tuples in polymorphic hashtables: the
    checker runs off the hot path, so clarity wins over interning. *)
@@ -579,8 +563,8 @@ let emit t ~time ev =
     on_net t ~src ~dst dir msg
 
 (* All five trace streams arrive through the cluster's unified tracer; this
-   adapter narrows them to the checker's event type (and applies the test
-   suite's [mutate] tap). *)
+   adapter narrows them to the checker's event type (and applies a seeded
+   fault's [mutate] tap). *)
 let attach ?mutate t cluster =
   t.history <- Some (Cluster.enable_history cluster);
   let feed ~time ev =

@@ -92,9 +92,10 @@ val attach : ?mutate:(event -> event option) -> t -> Dtx.Cluster.t -> unit
     five instrumented layers) and enable its history recording. Call before
     submitting transactions. [mutate] taps
     the event stream before the checker sees it — return [None] to hide an
-    event, or a different event to corrupt it. The self-tests use it to
-    prove the checker catches discipline violations (a hidden release, a
-    hidden vote) without breaking the actual run. *)
+    event, or a different event to corrupt it. The seeded-fault registry
+    ([Dtx_faults.Faults]) uses it to prove the checker catches discipline
+    violations (a hidden release, a hidden vote) without breaking the
+    actual run. *)
 
 val set_link_oracle :
   t -> (time:float -> src:int -> dst:int -> bool) option -> unit

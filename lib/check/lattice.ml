@@ -87,3 +87,8 @@ let check_with ~compat ~conflict_mask ~intention_for () =
 let check () =
   check_with ~compat:Mode.compatible ~conflict_mask:Mode.conflict_mask
     ~intention_for:Mode.intention_for ()
+
+let st_ix_flipped a b =
+  match (a, b) with
+  | Mode.ST, Mode.IX | Mode.IX, Mode.ST -> true
+  | _ -> Mode.compatible a b

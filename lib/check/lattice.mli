@@ -22,3 +22,9 @@ val check_with :
 (** Same checks over caller-supplied functions — the self-test feeds
     deliberately corrupted matrices through this to prove the check can
     fail. *)
+
+val st_ix_flipped : Dtx_locks.Mode.t -> Dtx_locks.Mode.t -> bool
+(** {!Dtx_locks.Mode.compatible} with one cell flipped: ST and IX — the
+    conflict behind the paper's Fig. 6 deadlock — made compatible. The
+    seeded lattice fault of the self-tests ({!check_with} must reject it)
+    and of the certifier's collision check. *)

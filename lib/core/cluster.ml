@@ -100,10 +100,6 @@ let total_lock_requests t =
 let total_blocked_ops t =
   Array.fold_left (fun acc s -> acc + s.Site.stats.Site.blocked_ops) 0 t.sites
 
-let inject_site_failure t ~site = Hashtbl.replace t.failed_sites site ()
-
-let heal_site t ~site = Hashtbl.remove t.failed_sites site
-
 let crash_site t ~site =
   Hashtbl.replace t.failed_sites site ();
   (* The history mirror must forget accesses whose effects just died with

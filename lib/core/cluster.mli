@@ -163,19 +163,13 @@ val check_serializable : t -> (unit, string) result
 (** {!History.check_serializable} on the recorded history.
     @raise Invalid_argument if {!enable_history} was never called. *)
 
-val inject_site_failure : t -> site:int -> unit
-(** Failure injection: the site stops acknowledging commit/abort requests,
-    driving transactions that involve it into the paper's abort/fail paths
-    (commit that cannot complete → abort; abort that cannot complete →
-    failure, §2.2). Used by tests. *)
-
-val heal_site : t -> site:int -> unit
-
 val crash_site : t -> site:int -> unit
-(** Crash simulation: the site stops serving (as {!inject_site_failure})
-    {e and} loses its volatile state — replicas, locks, wait-for graph,
-    undo logs. Transactions that involve it will abort or fail; their
-    effects at healthy sites are rolled back, so the system stays
+(** Crash simulation: the site stops serving — it no longer acknowledges
+    commit/abort requests, driving transactions that involve it into the
+    paper's abort/fail paths (commit that cannot complete → abort; abort
+    that cannot complete → failure, §2.2) — {e and} loses its volatile
+    state: replicas, locks, wait-for graph, undo logs. Effects of those
+    transactions at healthy sites are rolled back, so the system stays
     consistent. *)
 
 val recover_site : t -> site:int -> unit

@@ -5,9 +5,7 @@ module Op = Dtx_update.Op
 module Protocol = Dtx_protocol.Protocol
 module Commute = Dtx_protocol.Commute_rules
 module Allocation = Dtx_frag.Allocation
-module Table = Dtx_locks.Table
 module Cluster = Dtx.Cluster
-module Participant = Dtx.Participant
 module Checker = Dtx_check.Checker
 module Workload = Dtx_workload.Workload
 module Xml_parser = Dtx_xml.Parser
@@ -90,25 +88,11 @@ let scripts scen =
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type mutation = Compat_flip | Skip_release | Commit_reorder
-
-let mutation_to_string = function
-  | Compat_flip -> "compat-flip"
-  | Skip_release -> "skip-release"
-  | Commit_reorder -> "commit-reorder"
-
-let mutation_of_string s =
-  match String.lowercase_ascii s with
-  | "compat-flip" -> Some Compat_flip
-  | "skip-release" -> Some Skip_release
-  | "commit-reorder" -> Some Commit_reorder
-  | _ -> None
-
 type config = {
   protocol : Protocol.kind;
   two_phase : bool;
   naive : bool;
-  mutate : mutation option;
+  tap : (Checker.event -> Checker.event option) option;
   max_schedules : int;
   max_events : int;
   ring : int;
@@ -119,7 +103,7 @@ let default_config =
   { protocol = Protocol.xdgl;
     two_phase = false;
     naive = false;
-    mutate = None;
+    tap = None;
     max_schedules = 20_000;
     max_events = 50_000;
     ring = 64;
@@ -145,56 +129,6 @@ type outcome = {
       (** a budget cap was hit: results are a bounded, not exhaustive,
           statement *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Trace mutations (seeded protocol bugs for the oracle to catch)      *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the analyzer's one-shot taps, [Skip_release] here is
-   {e schedule-dependent}: it hides the {e last} transaction's
-   end-of-transaction lock releases (and its local finishes) from the
-   checker. The mirror then believes that transaction still holds its locks
-   forever, so a lock-compat violation surfaces {e only} in schedules where
-   some other transaction acquires a conflicting lock after the victim
-   released — i.e. only when the last-submitted transaction wins the race.
-   Default (time, seq) order and bounded-jitter random schedules never
-   produce that order in the reference scenario (the rival's local shipment
-   always lands first); exhaustive delivery-order exploration does. *)
-let mutation_tap mutation ~last_txn =
-  match mutation with
-  | None | Some Compat_flip -> None
-  | Some Skip_release ->
-    Some
-      (fun ev ->
-        match ev with
-        | Checker.Lock
-            { ev = Table.Released { txn; kind = Table.End_of_txn; _ }; _ }
-          when txn = last_txn -> None
-        | Checker.Part { ev = Participant.Finished { txn; _ }; _ }
-          when txn = last_txn -> None
-        | _ -> Some ev)
-  | Some Commit_reorder ->
-    (* Hide the last transaction's yes votes: its Commit then precedes any
-       complete prepare round, which the 2PC-order check must flag (2PC
-       configurations only). *)
-    Some
-      (fun ev ->
-        match ev with
-        | Checker.Net
-            { dir = Net.Deliver; msg = Msg.Vote { txn; ok = true }; _ }
-          when txn = last_txn -> None
-        | _ -> Some ev)
-
-let flipped_lattice () =
-  let compat a b =
-    match (a, b) with
-    | Dtx_locks.Mode.ST, Dtx_locks.Mode.IX
-    | Dtx_locks.Mode.IX, Dtx_locks.Mode.ST -> true
-    | _ -> Dtx_locks.Mode.compatible a b
-  in
-  Dtx_check.Lattice.check_with ~compat
-    ~conflict_mask:Dtx_locks.Mode.conflict_mask
-    ~intention_for:Dtx_locks.Mode.intention_for ()
 
 (* ------------------------------------------------------------------ *)
 (* One replay under a decision prefix                                  *)
@@ -328,9 +262,8 @@ let op_lookup scen =
 
 let replay scen cfg ~lookup ~verdicts ~prefix ~sleep0 =
   let sim, net, cluster = build scen cfg in
-  let last_txn = List.length scen.sc_txns in
   let checker = Checker.create ~ring:cfg.ring ~suffix:cfg.suffix () in
-  Checker.attach ?mutate:(mutation_tap cfg.mutate ~last_txn) checker cluster;
+  Checker.attach ?mutate:cfg.tap checker cluster;
   Workload.submit_script cluster (scripts scen);
   let prefix = Array.of_list prefix in
   let plen = Array.length prefix in
@@ -432,26 +365,6 @@ let replay scen cfg ~lookup ~verdicts ~prefix ~sleep0 =
     (not pruned) && (Sim.pending sim > 0 || Cluster.active_txns cluster > 0)
   in
   let violations = if pruned then [] else Checker.finish checker in
-  let violations =
-    match cfg.mutate with
-    | Some Compat_flip when not pruned -> (
-      (* The flipped matrix is a static fault: surface it through the same
-         verdict channel so every schedule reports it. *)
-      match flipped_lattice () with
-      | Ok () -> violations
-      | Error msgs ->
-        violations
-        @ List.map
-            (fun m ->
-              { Checker.v_invariant = "mode-lattice";
-                v_txn = None;
-                v_site = None;
-                v_detail = m;
-                v_time = 0.0;
-                v_suffix = [] })
-            msgs)
-    | _ -> violations
-  in
   { rr_trail = List.rev !trail;
     rr_violations = violations;
     rr_pruned = pruned;
@@ -555,9 +468,8 @@ let explore ?(config = default_config) scen =
 
 let random_run ?(jitter_ms = 2.0) scen cfg ~seed =
   let sim, net, cluster = build scen cfg in
-  let last_txn = List.length scen.sc_txns in
   let checker = Checker.create ~ring:cfg.ring ~suffix:cfg.suffix () in
-  Checker.attach ?mutate:(mutation_tap cfg.mutate ~last_txn) checker cluster;
+  Checker.attach ?mutate:cfg.tap checker cluster;
   let rng = Rng.create seed in
   Net.set_fault net
     (Some
@@ -567,23 +479,7 @@ let random_run ?(jitter_ms = 2.0) scen cfg ~seed =
          f_deliverable = (fun ~time:_ ~src:_ ~dst:_ -> true) });
   Workload.submit_script cluster (scripts scen);
   Sim.run ~max_events:cfg.max_events sim;
-  let violations = Checker.finish checker in
-  match (cfg.mutate, violations) with
-  | Some Compat_flip, vs -> (
-    match flipped_lattice () with
-    | Ok () -> vs
-    | Error msgs ->
-      vs
-      @ List.map
-          (fun m ->
-            { Checker.v_invariant = "mode-lattice";
-              v_txn = None;
-              v_site = None;
-              v_detail = m;
-              v_time = 0.0;
-              v_suffix = [] })
-          msgs)
-  | _, vs -> vs
+  Checker.finish checker
 
 let random_runs ?jitter_ms scen cfg ~seeds =
   List.map (fun seed -> (seed, random_run ?jitter_ms scen cfg ~seed)) seeds

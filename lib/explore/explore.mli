@@ -17,8 +17,8 @@
     [o_truncated] says a budget was hit).
 
     Each replay is audited by the {!Dtx_check.Checker} oracle; seeded
-    protocol bugs ({!mutation}) validate that the explorer actually reaches
-    the schedules where a bug manifests. *)
+    protocol bugs (a checker [tap] in {!config}) validate that the explorer
+    actually reaches the schedules where a bug manifests. *)
 
 (** {1 Scenarios} *)
 
@@ -50,28 +50,16 @@ val find_scenario : string -> scenario option
 
 (** {1 Configuration} *)
 
-(** Seeded protocol bugs, mirroring [dtx_cli check --mutate]:
-    - [Compat_flip] makes ST/IX compatible in a lattice audit — a static
-      fault every schedule reports;
-    - [Skip_release] hides the last transaction's end-of-transaction lock
-      releases from the checker — {e schedule-dependent}: only interleavings
-      where a rival acquires afterwards expose it (found by exploration,
-      missed by bounded-jitter random schedules);
-    - [Commit_reorder] hides the last transaction's yes-votes, so under 2PC
-      its commit precedes any complete prepare round. *)
-type mutation = Compat_flip | Skip_release | Commit_reorder
-
-val mutation_to_string : mutation -> string
-
-val mutation_of_string : string -> mutation option
-
 type config = {
   protocol : Dtx_protocol.Protocol.kind;
   two_phase : bool;  (** 2PC commit instead of the paper's one-phase *)
   naive : bool;
       (** disable sleep sets: explore every delivery order (the baseline the
           ≥2× reduction gate compares against) *)
-  mutate : mutation option;
+  tap : (Dtx_check.Checker.event -> Dtx_check.Checker.event option) option;
+      (** seeded fault: rewrites the event stream every replay's checker
+          sees (see {!Dtx_check.Checker.attach}); the fault registry's
+          schedule-dependent faults plug in here *)
   max_schedules : int;  (** explored + pruned budget; sets [o_truncated] *)
   max_events : int;  (** per-replay simulator event budget *)
   ring : int;  (** checker event-ring capacity per replay *)
@@ -79,7 +67,7 @@ type config = {
 }
 
 val default_config : config
-(** XDGL, one-phase, DPOR on, no mutation, 20k schedules, ring 64. *)
+(** XDGL, one-phase, DPOR on, no tap, 20k schedules, ring 64. *)
 
 (** {1 Outcomes} *)
 
@@ -135,8 +123,9 @@ val random_run :
 (** One chaos-style baseline run: no chooser, instead a seeded fault plan
     adds uniform [0, jitter_ms) delivery offsets to remote messages (local
     deliveries keep their fixed zero delay — exactly why jitter alone cannot
-    reorder a local shipment past a remote round trip, and why
-    [Skip_release] hides from this baseline). Default jitter 2.0 ms. *)
+    reorder a local shipment past a remote round trip, and why a skipped
+    release of the last transaction hides from this baseline). Default
+    jitter 2.0 ms. *)
 
 val random_runs :
   ?jitter_ms:float ->

@@ -197,6 +197,13 @@ let all ?(quick = false) () =
   fig9 ~quick () @ fig10 ~quick () @ fig11a ~quick () @ fig11b ~quick ()
   @ fig12 ~quick ()
 
+let named name =
+  List.assoc_opt name
+    [ ("fig9", fig9); ("fig10", fig10); ("fig11a", fig11a);
+      ("fig11b", fig11b); ("fig12", fig12); ("all", all) ]
+  |> Option.map (fun (driver : ?quick:bool -> unit -> figure list) ~quick ->
+         driver ~quick ())
+
 (* ------------------------------------------------------------------ *)
 
 let pp_figure ppf (f : figure) =

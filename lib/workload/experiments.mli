@@ -49,6 +49,10 @@ val fig12 : ?quick:bool -> unit -> figure list
 val all : ?quick:bool -> unit -> figure list
 (** Every figure, in paper order. *)
 
+val named : string -> (quick:bool -> figure list) option
+(** The driver a command line names: ["fig9"], ["fig10"], ["fig11a"],
+    ["fig11b"], ["fig12"] or ["all"]. *)
+
 val pp_figure : Format.formatter -> figure -> unit
 (** Render a figure as an aligned text table (series as columns) followed by
     an ASCII chart. *)

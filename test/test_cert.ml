@@ -1,13 +1,11 @@
 (* Tests for the symbolic soundness certifier (Dtx_cert): clean
-   certification of every registered protocol, precision ordering, the
-   four seeded faults, FSM/WAL pass integrity — plus the satellite
-   registry and CLI-parsing hardening this PR ships alongside it
+   certification of every registered protocol, precision ordering, FSM/WAL
+   pass integrity — plus the protocol registry and CLI-parsing hardening
    (duplicate-alias rejection in Protocol.register, Protocol_arg edge
-   cases).
+   cases). The certifier's four seeded faults run in test_faults.
 
-   Ordering matters within this file: the wrong-caps fault registers its
-   probe kind globally, and the Protocol_arg +2pc test registers a
-   two_pc_compatible=false kind, so the clean-run tests come first and
+   Ordering matters within this file: the Protocol_arg +2pc test registers
+   a two_pc_compatible=false kind, so the clean-run tests come first and
    the registry-polluting ones last. Alcotest runs cases in declaration
    order. *)
 
@@ -130,33 +128,6 @@ let test_json_renders () =
      in
      scan 0)
 
-(* --- seeded faults ------------------------------------------------------- *)
-
-(* Each fault must produce a failed certification; a clean run afterwards
-   must still certify (no cross-contamination through the global
-   registry — the wrong-caps probe stays registered but is excluded from
-   every pass by name). *)
-let test_mutations_fail_then_clean () =
-  List.iter
-    (fun m ->
-      let r = Cert.certify ~mutate:m () in
-      checkb (Cert.mutation_to_string m ^ " fails") false r.Cert.r_certified;
-      checkb
-        (Cert.mutation_to_string m ^ " counts violations")
-        true (r.Cert.r_violations > 0))
-    Cert.mutations;
-  let r = Cert.certify () in
-  checkb "clean after faults" true r.Cert.r_certified
-
-let test_mutation_names_roundtrip () =
-  List.iter
-    (fun m ->
-      match Cert.mutation_of_string (Cert.mutation_to_string m) with
-      | Some m' -> checkb (Cert.mutation_to_string m) true (m = m')
-      | None -> Alcotest.failf "%s does not parse" (Cert.mutation_to_string m))
-    Cert.mutations;
-  checkb "unknown rejected" true (Cert.mutation_of_string "nope" = None)
-
 (* --- satellite: registry duplicate rejection ----------------------------- *)
 
 let dummy_derive ~dg:_ (d : Doc.t) op =
@@ -267,11 +238,6 @@ let () =
             test_fsm_pass_integrity;
           Alcotest.test_case "runtime recorded" `Quick test_runtime_recorded;
           Alcotest.test_case "json renders" `Quick test_json_renders ] );
-      ( "faults",
-        [ Alcotest.test_case "all four fail, then clean" `Quick
-            test_mutations_fail_then_clean;
-          Alcotest.test_case "names roundtrip" `Quick
-            test_mutation_names_roundtrip ] );
       ( "registry",
         [ Alcotest.test_case "duplicate rejection" `Quick
             test_register_rejects_duplicates ] );

@@ -40,14 +40,9 @@ let test_lattice_ok () =
   | Error msgs -> Alcotest.failf "live matrix rejected: %s" (List.hd msgs)
 
 let test_lattice_flip_caught () =
-  let compat a b =
-    match (a, b) with
-    | (Mode.ST, Mode.IX) | (Mode.IX, Mode.ST) -> true
-    | _ -> Mode.compatible a b
-  in
   match
-    Lattice.check_with ~compat ~conflict_mask:Mode.conflict_mask
-      ~intention_for:Mode.intention_for ()
+    Lattice.check_with ~compat:Lattice.st_ix_flipped
+      ~conflict_mask:Mode.conflict_mask ~intention_for:Mode.intention_for ()
   with
   | Ok () -> Alcotest.fail "flipped compat cell not caught"
   | Error msgs ->

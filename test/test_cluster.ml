@@ -229,7 +229,7 @@ let test_paper_scenario_deadlock () =
 
 let test_site_failure_aborts () =
   let sim, _, cluster = make_cluster () in
-  Cluster.inject_site_failure cluster ~site:1;
+  Cluster.crash_site cluster ~site:1;
   let st = ref None in
   submit cluster ~coordinator:0 [ ("d2", q "/products/product") ] (fun txn ->
       st := Some txn.Txn.status);
@@ -311,8 +311,8 @@ let test_history_requires_enabling () =
 
 let test_site_failure_heals () =
   let sim, _, cluster = make_cluster () in
-  Cluster.inject_site_failure cluster ~site:1;
-  Cluster.heal_site cluster ~site:1;
+  Cluster.crash_site cluster ~site:1;
+  Cluster.restart_site cluster ~site:1;
   let st = ref None in
   submit cluster ~coordinator:0 [ ("d2", q "/products/product") ] (fun txn ->
       st := Some txn.Txn.status);

@@ -1,7 +1,8 @@
 (* Tests for Dtx_explore: the static commutativity analysis (QCheck-validated
    against actual operation execution), the sleep-set schedule explorer on
    the pinned scenarios, its reduction factor against naive enumeration, and
-   the seeded-bug coverage that random schedules cannot provide. *)
+   the seeded-bug coverage that random schedules cannot provide (the taps
+   come from the fault registry, which also runs them in test_faults). *)
 
 module Sim = Dtx_sim.Sim
 module Net = Dtx_net.Net
@@ -15,6 +16,7 @@ module Xml_parser = Dtx_xml.Parser
 module Printer = Dtx_xml.Printer
 module Commute = Dtx_protocol.Commute_rules
 module Explore = Dtx_explore.Explore
+module Faults = Dtx_faults.Faults
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -110,12 +112,11 @@ let prop_commutes_is_sound =
 
 (* --- exhaustive exploration ---------------------------------------------- *)
 
-let explore ?(mutate = None) ?(naive = false) ?(two_phase = false)
+let explore ?tap ?(naive = false) ?(two_phase = false)
     ?(protocol = Protocol.xdgl) scen =
   Explore.explore
     ~config:
-      { Explore.default_config with
-        Explore.protocol; two_phase; naive; mutate }
+      { Explore.default_config with Explore.protocol; two_phase; naive; tap }
     scen
 
 let assert_clean label (o : Explore.outcome) =
@@ -179,8 +180,14 @@ let test_disjoint_collapses () =
 
 (* --- seeded-bug coverage -------------------------------------------------- *)
 
+(* The reference scenario's last transaction (t2, the reader) is the one
+   the taps hide. *)
+let last_txn = List.length Explore.reference.Explore.sc_txns
+
 let test_skip_release_found_by_exploration () =
-  let o = explore ~mutate:(Some Explore.Skip_release) Explore.reference in
+  let o =
+    explore ~tap:(Faults.skip_release ~txn:last_txn) Explore.reference
+  in
   checkb "explorer finds the hidden release" true (o.Explore.o_violations > 0);
   checkb "a violating schedule is reported" true (o.Explore.o_violating <> []);
   let vs = List.hd o.Explore.o_violating in
@@ -192,7 +199,8 @@ let test_skip_release_missed_by_random () =
      rival's full remote round trip — bounded jitter on remote links can
      never reorder a zero-delay local delivery that far. *)
   let cfg =
-    { Explore.default_config with Explore.mutate = Some Explore.Skip_release }
+    { Explore.default_config with
+      Explore.tap = Some (Faults.skip_release ~txn:last_txn) }
   in
   let seeds = List.init 50 (fun i -> i + 1) in
   let runs = Explore.random_runs Explore.reference cfg ~seeds in
@@ -205,14 +213,10 @@ let test_skip_release_missed_by_random () =
 
 let test_commit_reorder_found () =
   let o =
-    explore ~two_phase:true ~mutate:(Some Explore.Commit_reorder)
+    explore ~two_phase:true ~tap:(Faults.commit_reorder ~txn:last_txn)
       Explore.reference
   in
   checkb "2pc-order violation found" true (o.Explore.o_violations > 0)
-
-let test_compat_flip_found () =
-  let o = explore ~mutate:(Some Explore.Compat_flip) Explore.reference in
-  checkb "lattice violation found" true (o.Explore.o_violations > 0)
 
 (* --- deadlock victim tie-break ------------------------------------------- *)
 
@@ -287,8 +291,7 @@ let () =
           Alcotest.test_case "skip-release missed by 50 random seeds" `Quick
             test_skip_release_missed_by_random;
           Alcotest.test_case "commit-reorder found" `Quick
-            test_commit_reorder_found;
-          Alcotest.test_case "compat-flip found" `Quick test_compat_flip_found ] );
+            test_commit_reorder_found ] );
       ( "victim",
         [ Alcotest.test_case "equal-timestamp tie broken by id" `Quick
             test_victim_timestamp_tie ] ) ]
