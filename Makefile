@@ -2,26 +2,17 @@
 # (ocamlformat is not pinned in this environment, so formatting is not
 # part of the gate; add it here if/when the binary is available.)
 
-.PHONY: check build test test-locks-unsharded bench bench-smoke bench-json \
-	bench-scale bench-scale-smoke bench-commute bench-commute-smoke \
-	ablation-identical analyze analyze-smoke chaos chaos-smoke explore \
-	explore-smoke cert cert-smoke clean
+.PHONY: check build test bench bench-smoke analyze analyze-smoke chaos \
+	chaos-smoke explore explore-smoke cert cert-smoke clean
 
-check: build test test-locks-unsharded bench-smoke bench-scale-smoke \
-	bench-commute-smoke analyze-smoke chaos-smoke explore-smoke cert-smoke \
-	ablation-identical
+check: build test bench-smoke analyze-smoke chaos-smoke explore-smoke \
+	cert-smoke
 
 build:
 	dune build
 
 test:
 	dune runtest
-
-# The lock-table suite again with a single shard: the batched-vs-per-request
-# QCheck differential (and everything else) must hold at both ends of the
-# DTX_LOCK_SHARDS range.
-test-locks-unsharded:
-	DTX_LOCK_SHARDS=1 dune exec test/test_locks.exe
 
 bench:
 	dune exec bench/main.exe -- quick
@@ -30,42 +21,6 @@ bench:
 # paying for a real measurement run.
 bench-smoke:
 	dune exec bench/main.exe -- micro smoke
-
-# Machine-readable perf snapshot (micro ns/run + fig9-quick workload numbers).
-bench-json:
-	dune exec bench/main.exe -- json
-
-# Extreme-scale client sweep (1000 sites, up to 10k clients) — writes
-# BENCH_scale.json.
-bench-scale:
-	dune exec bench/main.exe -- scale
-
-# Reduced sweep that writes nothing — part of `make check`.
-bench-scale-smoke:
-	dune exec bench/main.exe -- scale smoke
-
-# Commute vs XDGL/Node2PL on contention mixes (the optimistic protocol's
-# value proposition) — writes BENCH_pr9.json.
-bench-commute:
-	dune exec bench/main.exe -- commute
-
-# One tiny mix that writes nothing — part of `make check`.
-bench-commute-smoke:
-	dune exec bench/main.exe -- commute smoke
-
-# Byte-identical ablation gate: an unsharded (single-shard) lock table must
-# reproduce the default configuration's chaos and explore output exactly —
-# both are implementations of one lock-table semantics, so any divergence
-# is a bug.
-ablation-identical:
-	dune exec bin/dtx_cli.exe -- chaos --smoke > _build/ablation_default.out
-	DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
-	  chaos --smoke > _build/ablation_unsharded.out
-	cmp _build/ablation_default.out _build/ablation_unsharded.out
-	dune exec bin/dtx_cli.exe -- explore --scenario ref > _build/ablation_default.out
-	DTX_LOCK_SHARDS=1 dune exec bin/dtx_cli.exe -- \
-	  explore --scenario ref > _build/ablation_unsharded.out
-	cmp _build/ablation_default.out _build/ablation_unsharded.out
 
 # Invariant analyzer (Dtx_check): seeded workloads under every protocol with
 # the serializability / S2PL / FSM / deadlock checker attached. Exits

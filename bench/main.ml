@@ -7,11 +7,6 @@
      dune exec bench/main.exe -- summary      # qualitative checks table
      dune exec bench/main.exe -- micro        # Bechamel microbenchmarks
      dune exec bench/main.exe -- micro smoke  # same, tiny quota (make check)
-     dune exec bench/main.exe -- json         # write BENCH_pr2.json
-     dune exec bench/main.exe -- scale        # 1000-site client sweep, write BENCH_scale.json
-     dune exec bench/main.exe -- scale smoke  # tiny sweep, no file (make check)
-     dune exec bench/main.exe -- commute      # Commute vs XDGL/Node2PL mixes, write BENCH_pr9.json
-     dune exec bench/main.exe -- commute smoke # one tiny mix, no file (make check)
      dune exec bench/main.exe -- ablation     # design-choice ablations
      dune exec bench/main.exe -- fig9 export  # also write results/<fig>.csv *)
 
@@ -28,7 +23,6 @@ module Table = Dtx_locks.Table
 module Mode = Dtx_locks.Mode
 module Wfg = Dtx_locks.Wfg
 module Rng = Dtx_util.Rng
-module Json = Dtx_util.Json
 
 let ppf = Format.std_formatter
 
@@ -161,277 +155,6 @@ let microbenches ~smoke =
       Format.fprintf ppf "%-34s %s %s@." name (cell ns) (cell words))
     rows
 
-(* --- JSON export (machine-readable perf trajectory) --------------------- *)
-
-let bench_json ~out () =
-  let micro = microbench_results ~smoke:false in
-  (* Fig.-9-style quick configurations: read-only transactions, both paper
-     protocols, two client counts — enough to track throughput and latency
-     drift from PR to PR without a full figure run. *)
-  let fig9_rows =
-    List.concat_map
-      (fun kind ->
-        List.map
-          (fun n_clients ->
-            let r =
-              Workload.run
-                { Workload.default_params with
-                  protocol = kind;
-                  n_clients;
-                  base_size_mb = 8.0;
-                  n_sites = 3;
-                  update_txn_pct = 0;
-                  replication = Allocation.Partial { copies = 1 } }
-            in
-            let throughput =
-              if r.Workload.makespan_ms > 0.0 then
-                float_of_int r.Workload.committed /. r.Workload.makespan_ms
-                *. 1000.0
-              else 0.0
-            in
-            Printf.sprintf
-              "    {\"protocol\": %s, \"clients\": %d, \"committed\": %d, \
-               \"throughput_txn_per_s\": %.3f, \"mean_latency_ms\": %.3f, \
-               \"deadlocks\": %d}"
-              (Json.string (Protocol.kind_to_string kind))
-              n_clients r.Workload.committed throughput
-              r.Workload.response.Dtx_util.Stats.mean r.Workload.deadlocks)
-          [ 8; 12; 24; 48 ])
-      [ Protocol.xdgl; Protocol.node2pl ]
-  in
-  let field sel =
-    List.filter_map
-      (fun row ->
-        let name, _, _ = row in
-        Option.map
-          (fun e -> Printf.sprintf "    %s: %.1f" (Json.string name) e)
-          (sel row))
-      micro
-  in
-  let micro_ns = field (fun (_, ns, _) -> ns) in
-  let micro_words = field (fun (_, _, words) -> words) in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"micro_ns_per_run\": {\n%s\n  },\n\
-    \  \"micro_minor_words_per_run\": {\n%s\n  },\n\
-    \  \"fig9_quick\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" micro_ns)
-    (String.concat ",\n" micro_words)
-    (String.concat ",\n" fig9_rows);
-  close_out oc;
-  Format.fprintf ppf "[wrote %s]@." out
-
-(* --- Scale sweep (BENCH_scale.json) ------------------------------------- *)
-
-(* Throughput/latency curve on the extreme-scale configuration (1000 sites,
-   up to 10k clients, one transaction each). One shared database backs the
-   whole sweep — generation and fragmentation are identical across the
-   points, only the client population varies. [smoke] shrinks the sweep to
-   a make-check-sized run and writes nothing. *)
-let scale_bench ~smoke ~out () =
-  let sites = if smoke then 100 else 1000 in
-  let sweep = if smoke then [ 50; 200 ] else [ 100; 1000; 4000; 10000 ] in
-  let base =
-    { Workload.default_params with
-      n_sites = sites;
-      txns_per_client = 1;
-      ops_per_txn = 3;
-      base_size_mb = 10.0;
-      replication = Allocation.Partial { copies = 1 } }
-  in
-  let database = Workload.build_database base in
-  Format.fprintf ppf "== Scale sweep: %d sites, %d-point client curve ==@."
-    sites (List.length sweep);
-  Format.fprintf ppf "%-10s %-11s %-16s %-10s %-10s %-10s %-8s %-10s@."
-    "clients" "committed" "throughput(t/s)" "mean(ms)" "p95(ms)" "p99(ms)"
-    "majors" "wall(s)";
-  let rows =
-    List.map
-      (fun n_clients ->
-        let g0 = Gc.quick_stat () in
-        let t0 = Unix.gettimeofday () in
-        let r = Workload.run ~database { base with n_clients } in
-        let wall = Unix.gettimeofday () -. t0 in
-        let g1 = Gc.quick_stat () in
-        let majors = g1.Gc.major_collections - g0.Gc.major_collections in
-        let throughput =
-          if r.Workload.makespan_ms > 0.0 then
-            float_of_int r.Workload.committed /. r.Workload.makespan_ms
-            *. 1000.0
-          else 0.0
-        in
-        Format.fprintf ppf
-          "%-10d %-11d %-16.0f %-10.2f %-10.2f %-10.2f %-8d %-10.2f@."
-          n_clients r.Workload.committed throughput
-          r.Workload.response.Dtx_util.Stats.mean
-          r.Workload.response.Dtx_util.Stats.p95
-          r.Workload.response.Dtx_util.Stats.p99 majors wall;
-        Printf.sprintf
-          "    {\"clients\": %d, \"sites\": %d, \"committed\": %d, \
-           \"aborted\": %d, \"deadlocks\": %d, \
-           \"throughput_txn_per_s\": %.3f, \"mean_latency_ms\": %.3f, \
-           \"p95_latency_ms\": %.3f, \"p99_latency_ms\": %.3f, \
-           \"gc_major_collections\": %d, \"makespan_ms\": %.3f, \
-           \"wall_clock_s\": %.3f}"
-          n_clients sites r.Workload.committed r.Workload.aborted
-          r.Workload.deadlocks throughput
-          r.Workload.response.Dtx_util.Stats.mean
-          r.Workload.response.Dtx_util.Stats.p95
-          r.Workload.response.Dtx_util.Stats.p99 majors
-          r.Workload.makespan_ms wall)
-      sweep
-  in
-  if not smoke then begin
-    let oc = open_out out in
-    (* The virtual-throughput dip at the 10k-client point is workload
-       saturation, not an implementation cliff: with 10k single-transaction
-       clients against 1000 one-copy sites, per-site queues deepen enough
-       that lock waits stretch the makespan faster than admissions add
-       commits (p99 response grows superlinearly while commit count stays
-       proportional). The p99 column quantifies exactly that tail. *)
-    Printf.fprintf oc
-      "{\n  \"notes\": \"Virtual throughput dips at the 10k-client point \
-       because per-site queueing stretches the makespan (see \
-       p99_latency_ms growth), not because of a data-structure cliff; \
-       gc_major_collections tracks allocation pressure per sweep \
-       point.\",\n  \"scale_sweep\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" rows);
-    close_out oc;
-    Format.fprintf ppf "[wrote %s]@." out
-  end
-
-(* --- Commute vs pessimistic protocols (BENCH_pr9.json) ------------------- *)
-
-(* The optimistic protocol's value proposition: on contended read-heavy
-   mixes the lock-free commuting fast path removes blocking, so throughput
-   (committed transactions per virtual second) beats XDGL; on an
-   uncontended mix it matches XDGL, since both then pay only derivation.
-   Aborted optimists are resubmitted ([retries]) — the client-side cost the
-   validation scheme trades blocking for. Each mix runs XDGL, Node2PL and
-   Commute over the same seeds and database. *)
-let commute_bench ~smoke ~out () =
-  let protocols = [ Protocol.xdgl; Protocol.node2pl; Protocol.commute ] in
-  let mixes =
-    (* (label, clients, update_txn_pct, base_size_mb) — small databases
-       concentrate the access paths, which is what drives contention. *)
-    if smoke then [ ("high-read-heavy", 24, 10, 1.0) ]
-    else
-      [ ("low-contention", 12, 20, 8.0);
-        ("high-read-heavy", 48, 10, 1.0);
-        ("high-mixed", 48, 30, 1.0) ]
-  in
-  let seeds = if smoke then [ 7 ] else [ 7; 107; 1007 ] in
-  Format.fprintf ppf "== Commute vs XDGL/Node2PL: contention mixes ==@.";
-  Format.fprintf ppf "%-16s %-9s %-10s %-16s %-10s %-10s %-9s %-9s@." "mix"
-    "protocol" "committed" "throughput(t/s)" "lockreqs" "blocked"
-    "deadlk" "validn";
-  let results = ref [] in
-  List.iter
-    (fun (label, n_clients, upd, mb) ->
-      let base =
-        { Workload.default_params with
-          n_clients; update_txn_pct = upd; base_size_mb = mb;
-          n_sites = 4;
-          txns_per_client = (if smoke then 3 else 6);
-          ops_per_txn = 4;
-          retries = 3 }
-      in
-      (* One database per (mix, seed), shared by the three protocols so
-         they race on identical data. *)
-      let databases =
-        List.map
-          (fun seed -> (seed, Workload.build_database { base with seed }))
-          seeds
-      in
-      List.iter
-        (fun protocol ->
-          let committed = ref 0 and makespan = ref 0.0 in
-          let lockreqs = ref 0 and blocked = ref 0 in
-          let deadlocks = ref 0 and validations = ref 0 in
-          List.iter
-            (fun seed ->
-              let r =
-                Workload.run
-                  ~database:(List.assoc seed databases)
-                  { base with seed; protocol }
-              in
-              committed := !committed + r.Workload.committed;
-              makespan := !makespan +. r.Workload.makespan_ms;
-              lockreqs := !lockreqs + r.Workload.lock_requests;
-              blocked := !blocked + r.Workload.blocked_ops;
-              deadlocks := !deadlocks + r.Workload.deadlocks;
-              validations := !validations + r.Workload.validation_aborts)
-            seeds;
-          let throughput =
-            if !makespan > 0.0 then
-              float_of_int !committed /. !makespan *. 1000.0
-            else 0.0
-          in
-          Format.fprintf ppf
-            "%-16s %-9s %-10d %-16.1f %-10d %-10d %-9d %-9d@." label
-            (Protocol.kind_to_string protocol)
-            !committed throughput !lockreqs !blocked !deadlocks !validations;
-          results :=
-            (label, protocol, throughput, !committed, !lockreqs, !blocked,
-             !deadlocks, !validations)
-            :: !results)
-        protocols)
-    mixes;
-  let results = List.rev !results in
-  let tp label proto =
-    List.find_map
-      (fun (l, p, t, _, _, _, _, _) ->
-        if l = label && p = proto then Some t else None)
-      results
-    |> Option.get
-  in
-  let gates =
-    List.filter_map
-      (fun (label, _, _, _) ->
-        if label = "low-contention" then None
-        else
-          Some
-            ( label,
-              tp label Protocol.commute > tp label Protocol.xdgl ))
-      mixes
-  in
-  List.iter
-    (fun (label, won) ->
-      Format.fprintf ppf "gate %-16s commute %s xdgl@." label
-        (if won then ">" else "<="))
-    gates;
-  if List.exists (fun (l, _, _, _) -> l = "low-contention") mixes then begin
-    let ratio =
-      tp "low-contention" Protocol.commute /. tp "low-contention" Protocol.xdgl
-    in
-    Format.fprintf ppf "gate low-contention  commute/xdgl = %.2f@." ratio
-  end;
-  if not smoke then begin
-    let rows =
-      List.map
-        (fun (label, proto, t, c, lr, b, d, v) ->
-          Printf.sprintf
-            "    {\"mix\": %s, \"protocol\": %s, \
-             \"throughput_txn_per_s\": %.3f, \"committed\": %d, \
-             \"lock_requests\": %d, \"blocked_ops\": %d, \"deadlocks\": %d, \
-             \"validation_aborts\": %d}"
-            (Json.string label)
-            (Json.string (Protocol.kind_to_string proto))
-            t c lr b d v)
-        results
-    in
-    let oc = open_out out in
-    Printf.fprintf oc
-      "{\n  \"notes\": \"Commute admits provably-commuting operations \
-       lock-free and validates at commit; contended read-heavy mixes trade \
-       blocking (and deadlocks) for validation aborts that retries absorb. \
-       Totals are summed over seeds {7, 107, 1007} on a shared database \
-       per mix.\",\n  \"commute_mixes\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" rows);
-    close_out oc;
-    Format.fprintf ppf "[wrote %s]@." out
-  end
-
 (* --- Ablations ---------------------------------------------------------- *)
 
 let ablation () =
@@ -548,8 +271,7 @@ let () =
     List.filter
       (fun a ->
         a <> "quick" && a <> "summary" && a <> "micro" && a <> "ablation"
-        && a <> "export" && a <> "smoke" && a <> "json" && a <> "scale"
-        && a <> "commute")
+        && a <> "export" && a <> "smoke")
       args
   in
   let t0 = Unix.gettimeofday () in
@@ -557,8 +279,7 @@ let () =
     figure_args = []
     && not
          (List.mem "summary" args || List.mem "micro" args
-          || List.mem "ablation" args || List.mem "json" args
-          || List.mem "scale" args || List.mem "commute" args)
+          || List.mem "ablation" args)
   then begin
     (* Default: everything the paper reports. *)
     print_figures (Experiments.all ~quick ());
@@ -569,11 +290,6 @@ let () =
     List.iter (run_figure ~quick) figure_args;
     if List.mem "summary" args then summary ~quick;
     if List.mem "micro" args then microbenches ~smoke;
-    if List.mem "json" args then bench_json ~out:"BENCH_pr2.json" ();
-    if List.mem "scale" args then
-      scale_bench ~smoke ~out:"BENCH_scale.json" ();
-    if List.mem "commute" args then
-      commute_bench ~smoke ~out:"BENCH_pr9.json" ();
     if List.mem "ablation" args then ablation ()
   end;
   Format.fprintf ppf "@.[bench completed in %.1f s]@." (Unix.gettimeofday () -. t0)

@@ -96,7 +96,8 @@ let () =
   submit_deposit 2;
   (* cannot reach site 1's replica -> aborts/fails *)
   Sim.run sim;
-  Cluster.recover_site cluster ~site:1;
+  Cluster.restart_site cluster ~site:1;
+  Sim.run sim;
   Printf.printf "site 1 recovered from its store; in-doubt txns: %d\n"
     (List.length (Wal.in_doubt (Cluster.sites cluster).(1).Site.wal));
   submit_deposit 3;

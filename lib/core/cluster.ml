@@ -115,17 +115,10 @@ let crash_site t ~site =
   Site.wipe_volatile t.sites.(site);
   Participant.crash t.participants.(site)
 
-let recover_site t ~site =
-  Site.recover_from_storage t.sites.(site);
-  (* Presumed abort: in-doubt transactions never reached the store. *)
-  ignore (Wal.resolve_presumed_abort t.sites.(site).Site.wal);
-  Hashtbl.remove t.failed_sites site
-
-(* The online alternative to {!recover_site}: reload the store, rejoin, and
-   let the participant resolve its in-doubt transactions by querying their
-   coordinators (committed answers replay the WAL redo lists). Used by the
-   chaos harness, where the coordinator may well hold a Committed outcome
-   the blunt presumed-abort of {!recover_site} would contradict. *)
+(* Reload the store, rejoin, and let the participant resolve its in-doubt
+   transactions by querying their coordinators (committed answers replay
+   the WAL redo lists): a coordinator may well hold a Committed outcome that
+   a blunt local presumed abort would contradict. *)
 let restart_site t ~site =
   Site.recover_from_storage t.sites.(site);
   Hashtbl.remove t.failed_sites site;

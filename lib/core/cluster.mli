@@ -172,13 +172,6 @@ val crash_site : t -> site:int -> unit
     transactions at healthy sites are rolled back, so the system stays
     consistent. *)
 
-val recover_site : t -> site:int -> unit
-(** Restart a crashed site {e offline}: reload its replicas from its durable
-    store and resolve every in-doubt WAL transaction as presumed abort on
-    the spot, without consulting anyone. Correct only when no coordinator
-    holds a commit record for them; the chaos harness uses
-    {!restart_site} instead. See {!Site.recover_from_storage}. *)
-
 val restart_site : t -> site:int -> unit
 (** Restart a crashed site {e online}: reload its replicas, rejoin the
     cluster, and let the participant resolve each in-doubt transaction by

@@ -16,6 +16,16 @@ let skip_release ~txn = function
     None
   | ev -> Some ev
 
+let skip_one_release ~txn =
+  let hidden = ref false in
+  function
+  | Checker.Lock
+      { ev = Table.Released { txn = t; kind = Table.End_of_txn; _ }; _ }
+    when t = txn && not !hidden ->
+    hidden := true;
+    None
+  | ev -> Some ev
+
 let commit_reorder ~txn = function
   | Checker.Net
       { dir = Dtx_net.Net.Deliver;
@@ -87,6 +97,10 @@ let all =
   [ { name = "lattice/compat-flip"; check = "mode-lattice"; run = lattice };
     { name = "analyze/skip-release"; check = "lock-compat";
       run = workload ~two_phase:false (skip_release ~txn:4) };
+    { name = "analyze/skip-one-release"; check = "lock-balance";
+      run =
+        (fun ~inject ->
+          workload ~two_phase:false (skip_one_release ~txn:4) ~inject) };
     { name = "analyze/commit-reorder"; check = "2pc-order";
       run = workload ~two_phase:true (commit_reorder ~txn:4) };
     { name = "explore/skip-release"; check = "lock-compat";

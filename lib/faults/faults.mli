@@ -15,6 +15,11 @@ val skip_release : txn:int -> tap
     once a rival acquires a conflicting lock afterwards — in the explorer's
     reference scenario, in some delivery orders only. *)
 
+val skip_one_release : txn:int -> tap
+(** Hides the first of [txn]'s end-of-transaction lock releases but not its
+    local finish: the checker sees [txn] finish while still holding that
+    lock, which [lock-balance] must flag. Stateful, so build one per run. *)
+
 val commit_reorder : txn:int -> tap
 (** Hides the delivery of [txn]'s yes votes: under 2PC its Commit then
     precedes a complete prepare round, which [2pc-order] must flag. *)
@@ -26,8 +31,8 @@ type t = {
   name : string;
   check : string;
       (** the check that must catch the fault: a checker invariant
-          ([mode-lattice], [lock-compat], [2pc-order]) or a certifier pass
-          ([lock-coverage], [fsm], [caps]) *)
+          ([mode-lattice], [lock-compat], [lock-balance], [2pc-order]) or a
+          certifier pass ([lock-coverage], [fsm], [caps]) *)
   run : inject:bool -> finding list;
       (** everything the checks found; [~inject:false] is the fault-free
           twin *)

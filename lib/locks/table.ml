@@ -121,47 +121,6 @@ let pp_event ppf = function
       (match kind with Undo -> "undo" | End_of_txn -> "end")
   | Cleared -> Format.fprintf ppf "lock table cleared"
 
-(* The entry map is sharded by a (doc, DataGuide-subtree) bucket computed
-   from the packed resource with one xor and one mask: doc id xor node>>4.
-   Nodes numbered in DataGuide/document order land siblings in the same
-   16-node window, so a transaction's lock batch (target + ancestors) touches
-   few shards while distinct documents spread across all of them. Each shard
-   keeps [smask], the exact union of the mode bits of every holder it
-   contains (maintained by per-mode holder counts), so a whole batch of
-   compatible requests can skip the per-entry probes in the conflict pass.
-   [by_txn], [grants] and the tracer stay table-global, which keeps
-   [release_txn] iteration order — and therefore every traced event — the
-   same as the unsharded table's. *)
-
-let default_shard_count = 64
-
-let shard_count =
-  match Sys.getenv_opt "DTX_LOCK_SHARDS" with
-  | None -> default_shard_count
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 && n <= 4096 && n land (n - 1) = 0 -> n
-    | _ ->
-      invalid_arg "DTX_LOCK_SHARDS must be a power of two between 1 and 4096")
-
-let shard_mask = shard_count - 1
-
-let shard_of r =
-  ((r lsr (node_bits + value_bits)) lxor (r lsr 4)) land shard_mask
-
-type shard = {
-  entries : entry Itbl.t;
-  mode_counts : int array;  (* holder records per mode index *)
-  mutable smask : int;  (* union of mode bits held anywhere in the shard *)
-}
-
-(* Shards materialize on first grant; until then every slot aliases this
-   never-mutated empty shard, so [create] is one [Array.make] instead of 64
-   hashtable allocations (tables are created per site, and short-lived ones
-   are common in tests and DPOR replays). Read paths may see the dummy —
-   its [entries] is empty and [smask] is 0, which answer correctly. *)
-let dummy_shard = { entries = Itbl.create 1; mode_counts = [||]; smask = 0 }
-
 (* A transaction's lock footprint, in grant order: parallel arrays of the
    resource and its table entry. Append-only arrays beat a per-transaction
    hash set on the grant path (one bounds check and two stores per new
@@ -179,7 +138,7 @@ type txn_locks = {
 }
 
 type t = {
-  shards : shard array;
+  entries : entry Itbl.t;  (* resource -> entry; only [clear] deletes *)
   by_txn : txn_locks Itbl.t;  (* txn -> its resources, in grant order *)
   mutable grants : int;
   mutable tracer : (event -> unit) option;
@@ -190,7 +149,7 @@ type t = {
 }
 
 let create () =
-  { shards = Array.make shard_count dummy_shard;
+  { entries = Itbl.create 16;
     by_txn = Itbl.create 64;
     grants = 0;
     tracer = None;
@@ -222,48 +181,21 @@ let push_lock (l : txn_locks) r e =
 
 let set_tracer t tr = t.tracer <- tr
 
-let shard t r = t.shards.(shard_of r)
-
-(* Only the grant path needs a real shard; everything else treats the dummy
-   as the empty shard it is. *)
-let materialize t r =
-  let i = shard_of r in
-  let sh = t.shards.(i) in
-  if sh != dummy_shard then sh
-  else begin
-    let sh =
-      { entries = Itbl.create 16;
-        mode_counts = Array.make (List.length Mode.all) 0;
-        smask = 0 }
-    in
-    t.shards.(i) <- sh;
-    sh
-  end
-
-(* Exact [smask] maintenance: a mode bit is set iff some holder record with
-   that mode lives in the shard. Refcount bumps don't change the counts. *)
-let shard_add_holder sh (mode : Mode.t) =
-  let i = Mode.index mode in
-  let c = sh.mode_counts.(i) in
-  sh.mode_counts.(i) <- c + 1;
-  if c = 0 then sh.smask <- sh.smask lor Mode.bit mode
-
-let shard_remove_holder sh (mode : Mode.t) =
-  let i = Mode.index mode in
-  let c = sh.mode_counts.(i) - 1 in
-  sh.mode_counts.(i) <- c;
-  if c = 0 then sh.smask <- sh.smask land lnot (Mode.bit mode)
-
 (* [Itbl.find] + [Not_found] rather than [find_opt]: the exception is a
    preallocated constant, the [Some] box is a fresh two-word block per
    probe — and these probes run once per grant and once per release. *)
-let entry sh r =
-  match Itbl.find sh.entries r with
+let entry t r =
+  match Itbl.find t.entries r with
   | e -> e
   | exception Not_found ->
     let e = { holders = []; mask = 0 } in
-    Itbl.replace sh.entries r e;
+    Itbl.replace t.entries r e;
     e
+
+(* Read-only lookup: an absent resource reads as the never-mutated empty
+   [dummy_entry], which answers every query correctly. *)
+let find_entry t r =
+  match Itbl.find t.entries r with e -> e | exception Not_found -> dummy_entry
 
 let recompute_mask e =
   e.mask <- List.fold_left (fun m h -> m lor Mode.bit h.mode) 0 e.holders
@@ -275,29 +207,25 @@ let rec find_holder holders txn (mode : Mode.t) =
     if h.txn = txn && h.mode = mode then Some h else find_holder rest txn mode
 
 let ungrant t ~txn r mode =
-  let sh = shard t r in
-  match Itbl.find_opt sh.entries r with
+  let e = find_entry t r in
+  match find_holder e.holders txn mode with
   | None -> ()
-  | Some e -> (
-    match find_holder e.holders txn mode with
-    | None -> ()
-    | Some h ->
-      h.count <- h.count - 1;
-      t.grants <- t.grants - 1;
-      (match t.tracer with
-       | Some tr ->
-         tr (Released { txn; resource = r; mode; count = 1; kind = Undo })
-       | None -> ());
-      if h.count = 0 then begin
-        e.holders <- List.filter (fun h' -> not (h' == h)) e.holders;
-        shard_remove_holder sh mode;
-        (* The entry stays (as an empty tombstone) and so does the resource
-           in the transaction's footprint array: both are reused on the next
-           acquire, and [release_txn] partitions holders by txn, so visiting
-           an entry the transaction no longer owns — even one that belongs
-           to someone else by then — is a no-op. *)
-        recompute_mask e
-      end)
+  | Some h ->
+    h.count <- h.count - 1;
+    t.grants <- t.grants - 1;
+    (match t.tracer with
+     | Some tr ->
+       tr (Released { txn; resource = r; mode; count = 1; kind = Undo })
+     | None -> ());
+    if h.count = 0 then begin
+      e.holders <- List.filter (fun h' -> not (h' == h)) e.holders;
+      (* The entry stays (as an empty tombstone) and so does the resource in
+         the transaction's footprint array: both are reused on the next
+         acquire, and [release_txn] partitions holders by txn, so visiting
+         an entry the transaction no longer owns — even one that belongs to
+         someone else by then — is a no-op. *)
+      recompute_mask e
+    end
 
 (* [Ok ()] preallocated: the grant path returns it thousands of times per
    simulated second and must not cons a fresh block each time. *)
@@ -327,12 +255,10 @@ let scratch_blockers t n =
 
 let acquire_all t ~txn requests =
   (* First pass: collect every conflicting transaction without mutating.
-     Requests route to their shard with one xor+mask; when the request mode
-     is compatible with the shard's whole-shard mask no entry in the shard
-     can conflict, so the common uncontended case never even probes the
-     entry map. Otherwise the per-entry mask keeps the old fast path.
-     Explicit recursion (no closures) and the table's scratch array keep
-     this pass allocation-free. *)
+     When the request mode is compatible with the entry's mask no holder can
+     conflict, so the common uncontended request is one probe and one AND.
+     Explicit recursion (no closures), the exception-based probe and the
+     table's scratch array keep this pass allocation-free. *)
   let rec scan_holders holders mode n =
     match holders with
     | [] -> n
@@ -348,15 +274,10 @@ let acquire_all t ~txn requests =
     match reqs with
     | [] -> n
     | (r, mode) :: rest ->
-      let sh = shard t r in
+      let e = find_entry t r in
       let n =
-        if Mode.mask_compatible mode ~held_mask:sh.smask then n
-        else
-          match Itbl.find_opt sh.entries r with
-          | None -> n
-          | Some e ->
-            if Mode.mask_compatible mode ~held_mask:e.mask then n
-            else scan_holders e.holders mode n
+        if Mode.mask_compatible mode ~held_mask:e.mask then n
+        else scan_holders e.holders mode n
       in
       conflict_pass rest n
   in
@@ -364,8 +285,8 @@ let acquire_all t ~txn requests =
   if conflicts > 0 then Error (scratch_blockers t conflicts)
   else begin
     (* Grant pass: all requests share [txn], so resolve its footprint array
-       once instead of per grant. Iteration stays in request order (not
-       shard order) so traced Acquired events are unchanged. A resource
+       once instead of per grant. Iteration is in request order, which is
+       the order of the traced Acquired events. A resource
        joins the footprint only when the transaction gains its first holder
        on it (refcount bumps and extra modes reuse the existing slot). *)
     let locks = txn_locks t txn in
@@ -378,15 +299,13 @@ let acquire_all t ~txn requests =
       match reqs with
       | [] -> ()
       | (r, mode) :: rest ->
-        let sh = materialize t r in
-        let e = entry sh r in
+        let e = entry t r in
         (match find_holder e.holders txn mode with
          | Some h -> h.count <- h.count + 1
          | None ->
            if not (among e.holders) then push_lock locks r e;
            e.holders <- { txn; mode; count = 1 } :: e.holders;
-           e.mask <- e.mask lor Mode.bit mode;
-           shard_add_holder sh mode);
+           e.mask <- e.mask lor Mode.bit mode);
         t.grants <- t.grants + 1;
         (match t.tracer with
          | Some tr -> tr (Acquired { txn; resource = r; mode })
@@ -406,16 +325,15 @@ let release_txn t ~txn =
   | Some locks ->
     let freed = ref [] in
     (* Walk the footprint in grant order — deterministic and independent of
-       the shard layout, so traced Released events cannot vary with
-       DTX_LOCK_SHARDS. Stale slots (undone or already-visited resources)
-       find no holders for [txn] and fall through. *)
-    let rec strip sh r holders kept =
+       the entry map's hashing, so it fixes the order of traced Released
+       events. Stale slots (undone or already-visited resources) find no
+       holders for [txn] and fall through. *)
+    let rec strip r holders kept =
       match holders with
       | [] -> kept
       | h :: rest ->
         if h.txn = txn then begin
           t.grants <- t.grants - h.count;
-          shard_remove_holder sh h.mode;
           (match t.tracer with
            | Some tr ->
              tr
@@ -423,18 +341,17 @@ let release_txn t ~txn =
                   { txn; resource = r; mode = h.mode; count = h.count;
                     kind = End_of_txn })
            | None -> ());
-          strip sh r rest kept
+          strip r rest kept
         end
-        else strip sh r rest (h :: kept)
+        else strip r rest (h :: kept)
     in
     for i = 0 to locks.n - 1 do
       let r = locks.rs.(i) in
       let e = locks.es.(i) in
-      let sh = shard t r in
       (* [grants] moves iff [strip] removed one of [txn]'s holders, so it
          doubles as the found-flag without a tuple return. *)
       let g0 = t.grants in
-      let kept = strip sh r e.holders [] in
+      let kept = strip r e.holders [] in
       if t.grants <> g0 then begin
         freed := r :: !freed;
         e.holders <- kept;
@@ -444,10 +361,7 @@ let release_txn t ~txn =
     Itbl.remove t.by_txn txn;
     !freed
 
-let holders t r =
-  match Itbl.find_opt (shard t r).entries r with
-  | None -> []
-  | Some e -> List.map (fun h -> (h.txn, h.mode)) e.holders
+let holders t r = List.map (fun h -> (h.txn, h.mode)) (find_entry t r).holders
 
 let locks_of t ~txn =
   match Itbl.find_opt t.by_txn txn with
@@ -467,20 +381,12 @@ let locks_of t ~txn =
 let lock_count t = t.grants
 
 let txn_holds t ~txn r mode =
-  match Itbl.find_opt (shard t r).entries r with
-  | None -> false
-  | Some e ->
-    List.exists (fun h -> h.txn = txn && h.mode = mode && h.count > 0) e.holders
+  List.exists
+    (fun h -> h.txn = txn && h.mode = mode && h.count > 0)
+    (find_entry t r).holders
 
 let clear t =
-  Array.iter
-    (fun sh ->
-      if sh != dummy_shard then begin
-        Itbl.reset sh.entries;
-        Array.fill sh.mode_counts 0 (Array.length sh.mode_counts) 0;
-        sh.smask <- 0
-      end)
-    t.shards;
+  Itbl.reset t.entries;
   Itbl.reset t.by_txn;
   t.grants <- 0;
   match t.tracer with Some tr -> tr Cleared | None -> ()

@@ -44,16 +44,6 @@ val compare_resource : resource -> resource -> int
 
 val pp_resource : Format.formatter -> resource -> unit
 
-val shard_count : int
-(** Number of internal lock shards, a power of two. Defaults to 64;
-    overridable via the [DTX_LOCK_SHARDS] environment variable (set it to 1
-    for the unsharded ablation). Sharding is invisible in the API — it only
-    changes which entry map a resource lives in. *)
-
-val shard_of : resource -> int
-(** The (doc, DataGuide-subtree) bucket a resource routes to:
-    [doc_id xor (node >> 4)], masked to [shard_count]. Exposed for tests. *)
-
 val dedup_requests : (resource * Mode.t) list -> (resource * Mode.t) list
 (** Sort and deduplicate a request list via single-int (resource, mode) keys
     — the protocols' replacement for [List.sort_uniq compare] over records. *)

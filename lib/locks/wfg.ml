@@ -6,21 +6,9 @@ module H = Hashtbl.Make (Int)
    exists so [remove_txn] — called for every finished transaction — touches
    only the removed vertex's neighbours instead of folding over the whole
    table (which made transaction completion O(live transactions) per site). *)
-(* Incremental cycle detection. [acyclic = true] means the graph minus the
-   out-edges added from [dirty] vertices has been proven cycle-free (edge
-   removals preserve that proof). A new cycle must contain a new edge, so it
-   passes through a dirty vertex and is reachable from it — [find_cycle] only
-   needs to search from [dirty]. When [acyclic = false] (the last search found
-   a cycle) nothing is tracked and the next search is exhaustive. *)
-type t = {
-  out : IntSet.t H.t;
-  inc : IntSet.t H.t;
-  dirty : unit H.t;
-  mutable acyclic : bool;
-}
+type t = { out : IntSet.t H.t; inc : IntSet.t H.t }
 
-let create () =
-  { out = H.create 32; inc = H.create 32; dirty = H.create 8; acyclic = true }
+let create () = { out = H.create 32; inc = H.create 32 }
 
 let set_of tbl v =
   match H.find_opt tbl v with Some s -> s | None -> IntSet.empty
@@ -41,7 +29,6 @@ let add_wait t ~waiter ~holders =
         end)
       cur holders
   in
-  if t.acyclic && not (s == cur) then H.replace t.dirty waiter ();
   update t.out waiter s
 
 let clear_waits_of t txn =
@@ -85,16 +72,18 @@ let txns t =
   in
   IntSet.elements set
 
-let dfs_cycle t starts =
-  (* DFS with a colour map from [starts] (already sorted); deterministic for
-     a given graph content and start list. *)
+(* DFS with a colour map from every vertex with out-edges, in sorted order:
+   the reported cycle is a function of the graph content alone, which is what
+   makes deadlock-victim choice deterministic. *)
+let find_cycle t =
   let color = H.create 32 in
-  (* 0 = white (absent), 1 = grey (on stack), 2 = black *)
+  (* absent = white, 1 = grey (on stack), 2 = black. Every site runs this on
+     each blocked acquire, so probes use [find] + [Not_found] (no [Some]
+     box) and successors are walked in place, in ascending order. *)
   let result = ref None in
   let rec dfs path txn =
-    match H.find_opt color txn with
-    | Some 2 -> ()
-    | Some 1 ->
+    match H.find color txn with
+    | 1 ->
       (* Found a back edge: extract the cycle from the path. *)
       if !result = None then begin
         let rec take acc = function
@@ -103,59 +92,19 @@ let dfs_cycle t starts =
         in
         result := Some (take [] path)
       end
-    | _ ->
+    | _ -> ()
+    | exception Not_found ->
       H.replace color txn 1;
-      let succs = waits_of t txn in
-      List.iter (fun s -> if !result = None then dfs (txn :: path) s) succs;
+      (match H.find t.out txn with
+       | succs ->
+         let path = txn :: path in
+         IntSet.iter (fun s -> if !result = None then dfs path s) succs
+       | exception Not_found -> ());
       H.replace color txn 2
   in
+  let starts = List.sort Int.compare (H.fold (fun w _ acc -> w :: acc) t.out []) in
   List.iter (fun v -> if !result = None then dfs [] v) starts;
   !result
-
-let find_cycle_exhaustive t =
-  let starts = List.sort compare (H.fold (fun w _ acc -> w :: acc) t.out []) in
-  dfs_cycle t starts
-
-let find_cycle t =
-  if t.acyclic then begin
-    if H.length t.dirty = 0 then None
-    else if H.length t.dirty >= H.length t.out then begin
-      (* Everything changed since the last proof — the incremental pre-pass
-         would visit the whole graph anyway, so go straight to exhaustive. *)
-      match find_cycle_exhaustive t with
-      | None ->
-        H.reset t.dirty;
-        None
-      | Some _ as c ->
-        t.acyclic <- false;
-        H.reset t.dirty;
-        c
-    end
-    else begin
-      let starts =
-        List.sort compare (H.fold (fun v () acc -> v :: acc) t.dirty [])
-      in
-      match dfs_cycle t starts with
-      | None ->
-        (* Still acyclic: the proof is fresh again. *)
-        H.reset t.dirty;
-        None
-      | Some _ ->
-        (* A cycle exists. Re-run the exhaustive search so the reported cycle
-           is the same canonical one the full DFS would pick — callers choose
-           deadlock victims from it, so this keeps traces byte-identical. *)
-        t.acyclic <- false;
-        H.reset t.dirty;
-        find_cycle_exhaustive t
-    end
-  end
-  else
-    match find_cycle_exhaustive t with
-    | None ->
-      t.acyclic <- true;
-      H.reset t.dirty;
-      None
-    | Some _ as c -> c
 
 let union graphs =
   let t = create () in
@@ -176,6 +125,4 @@ let pp ppf t =
 
 let clear t =
   H.reset t.out;
-  H.reset t.inc;
-  H.reset t.dirty;
-  t.acyclic <- true
+  H.reset t.inc

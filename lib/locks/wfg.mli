@@ -34,15 +34,10 @@ val txns : t -> int list
 
 val find_cycle : t -> int list option
 (** Some cycle as a list of distinct transactions (in cycle order), or
-    [None]. Deterministic for a given graph content. Incremental: when the
-    graph was acyclic at the last call, only vertices that gained out-edges
-    since are re-searched; the reported cycle is always the one
-    [find_cycle_exhaustive] would return. *)
-
-val find_cycle_exhaustive : t -> int list option
-(** Full-graph DFS from every vertex in sorted order — the pre-incremental
-    algorithm, kept as a differential oracle. Pure: does not update the
-    incremental-detection state. *)
+    [None]. A DFS from every vertex with out-edges, in ascending order, that
+    reports the first back edge it meets: the result depends only on the
+    graph content, so callers can choose deadlock victims from it
+    deterministically. *)
 
 val union : t list -> t
 (** A fresh graph containing every edge of the inputs — the distributed

@@ -260,7 +260,8 @@ let test_crash_recovery_cycle () =
     (note "t2");
   Sim.run sim;
   (* Recovery: reload committed state from the durable store. *)
-  Cluster.recover_site cluster ~site:1;
+  Cluster.restart_site cluster ~site:1;
+  Sim.run sim;
   submit cluster ~coordinator:0
     [ ( "d1",
         Op.Insert
@@ -396,7 +397,8 @@ let test_two_phase_crash_recovery () =
   (* Crash mid-flight. *)
   ignore (Sim.schedule sim ~delay:1.2 (fun () -> Cluster.crash_site cluster ~site:1));
   Sim.run sim;
-  Cluster.recover_site cluster ~site:1;
+  Cluster.restart_site cluster ~site:1;
+  Sim.run sim;
   Alcotest.(check (list int)) "no in-doubt txns after recovery" []
     (Wal.in_doubt (Cluster.sites cluster).(1).Site.wal);
   (* Every transaction reached a final state. *)
@@ -442,7 +444,8 @@ let test_cluster_on_paged_storage () =
   Sim.run sim;
   checkb "committed over paged storage" true (!st = Some Txn.Committed);
   Cluster.crash_site cluster ~site:1;
-  Cluster.recover_site cluster ~site:1;
+  Cluster.restart_site cluster ~site:1;
+  Sim.run sim;
   check "recovered replica holds the committed insert" 1
     (List.length
        (Eval.select (replica cluster ~site:1 ~doc:"d1") (P.parse "//person[id = \"pg\"]")));

@@ -20,6 +20,14 @@ let test_every_fault_caught () =
       | Error why -> Alcotest.failf "%s: %s" e.name why)
     Faults.all
 
+(* Every check the gates trust has at least one fault proving it can fire. *)
+let test_checks_covered () =
+  let covered c = List.exists (fun (e : Faults.t) -> e.check = c) Faults.all in
+  List.iter
+    (fun c -> Alcotest.(check bool) c true (covered c))
+    [ "mode-lattice"; "lock-compat"; "lock-balance"; "2pc-order";
+      "lock-coverage"; "fsm"; "caps" ]
+
 (* The wrong-caps fault registers its probe kind globally; certification
    must exclude it by name, so a clean run still certifies. *)
 let test_clean_after_faults () =
@@ -32,5 +40,6 @@ let () =
         [ Alcotest.test_case "names unique" `Quick test_names_unique;
           Alcotest.test_case "every fault caught, twin clean" `Quick
             test_every_fault_caught;
+          Alcotest.test_case "every check covered" `Quick test_checks_covered;
           Alcotest.test_case "cert certifies after all faults" `Quick
             test_clean_after_faults ] ) ]
