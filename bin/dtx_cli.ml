@@ -43,17 +43,29 @@ let read_file path =
   close_in ic;
   s
 
+(* File errors end the command with one line on stderr and exit 1. *)
 let write_output out text =
   match out with
   | None -> print_string text
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc
+  | Some path -> (
+    try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+    with Sys_error msg ->
+      Printf.eprintf "dtx_cli: cannot write %s: %s\n" path msg;
+      exit 1)
 
 let load_doc path =
-  Xml_parser.parse ~name:(Filename.remove_extension (Filename.basename path))
-    (read_file path)
+  match
+    Xml_parser.parse ~name:(Filename.remove_extension (Filename.basename path))
+      (read_file path)
+  with
+  | doc -> doc
+  | exception Xml_parser.Parse_error (msg, off) ->
+    Printf.eprintf "dtx_cli: %s: XML parse error at offset %d: %s\n" path off
+      msg;
+    exit 1
+  | exception Sys_error msg ->
+    Printf.eprintf "dtx_cli: cannot read %s: %s\n" path msg;
+    exit 1
 
 (* --- common args ---------------------------------------------------------- *)
 

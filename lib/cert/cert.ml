@@ -43,6 +43,7 @@ module Sim = Dtx_sim.Sim
 module Cluster = Dtx.Cluster
 module Coordinator = Dtx.Coordinator
 module Participant = Dtx.Participant
+module Site = Dtx.Site
 module Wal = Dtx.Wal
 module Explore = Dtx_explore.Explore
 module Json = Dtx_util.Json
@@ -55,12 +56,6 @@ type mutation =
   | Drop_handler  (** classify the coordinator's (Waiting, Wake) as dropped *)
   | Wrong_caps  (** register a probe kind whose capability flags lie *)
   | Weaken_commute  (** replace the commute verdicts with a gap-blind rule *)
-
-let mutation_to_string = function
-  | Flip_compat_bit -> "flip-compat-bit"
-  | Drop_handler -> "drop-handler"
-  | Wrong_caps -> "wrong-caps"
-  | Weaken_commute -> "weaken-commute"
 
 (* ------------------------------------------------------------------ *)
 (* The bounded universe                                                *)
@@ -158,23 +153,70 @@ let frag_label fragment =
   | Some l -> l
   | None -> "#frag"
 
-(* Guide-level oracle (XDGL family): nodes are DataGuide ids, i.e. one node
-   per label path — conservative (instances of one path are merged) and
-   phantom-aware (insert targets exist as guide nodes after warm-up). *)
-let guide_accesses dg op =
+(* A tree the oracle reads: how to name, select and walk its nodes, and
+   the two points where the guide and the instance oracles differ. *)
+type 'n view = {
+  id : 'n -> int;
+  select : Ast.path -> 'n list;
+  ancestors : 'n -> 'n list;
+  parent : 'n -> 'n option;
+  subtree : 'n -> 'n list;  (** descendants-or-self *)
+  renamed : 'n -> 'n list;  (** the nodes a RENAME of this one relabels *)
+  landing : ('n -> string -> 'n) option;
+      (** where content with a given label lands under a connect node; [None]
+          when new content has no pre-existing node to stand for it *)
+}
+
+(* Guide-level view (XDGL family): nodes are DataGuide ids, i.e. one node
+   per label path — conservative (instances of one path are merged, so a
+   rename relabels the whole path subtree) and phantom-aware (insert
+   targets exist as guide nodes after warm-up). *)
+let guide_view dg =
+  {
+    id = (fun n -> n.Dg.dg_id);
+    select = Dg.match_path dg;
+    ancestors = Dg.ancestors;
+    parent = (fun n -> n.Dg.parent);
+    subtree = Dg.descendants_or_self;
+    renamed = Dg.descendants_or_self;
+    landing =
+      (* [ensure_path] is safe here: the oracle guide reached its shape
+         fixed point during the warm-up pass, so this only looks up. *)
+      Some
+        (fun connect label ->
+          Dg.ensure_path dg (Dg.label_path connect @ [ label ]));
+  }
+
+(* Instance-level view (Node2PL / taDOM / Doc2PL): nodes are document node
+   ids.  Phantom-blind by construction — an insert's new content has no
+   pre-existing document node — which matches what instance-granular
+   protocols can lock; the connect node's child-list write carries the
+   conflict instead. *)
+let instance_view doc =
+  {
+    id = (fun n -> n.Node.id);
+    select = Eval.select doc;
+    ancestors = Node.ancestors;
+    parent = (fun n -> n.Node.parent);
+    subtree = Node.descendant_or_self;
+    renamed = (fun n -> [ n ]);
+    landing = None;
+  }
+
+let accesses v op =
   let acc = ref [] in
-  let add ?(positional = false) ~write (n : Dg.node) aspect =
+  let add ?(positional = false) ~write n aspect =
     acc :=
-      { a_node = n.Dg.dg_id; a_aspect = aspect; a_write = write;
+      { a_node = v.id n; a_aspect = aspect; a_write = write;
         a_positional = positional }
       :: !acc
   in
   let nav ?(positional = false) p =
-    let matches = Dg.match_path dg p in
+    let matches = v.select p in
     List.iter
       (fun n ->
         add ~positional ~write:false n A_struct;
-        List.iter (fun a -> add ~write:false a A_struct) (Dg.ancestors n))
+        List.iter (fun a -> add ~write:false a A_struct) (v.ancestors n))
       matches;
     List.iter
       (fun pp ->
@@ -182,22 +224,37 @@ let guide_accesses dg op =
           (fun n ->
             add ~write:false n A_struct;
             add ~write:false n A_content)
-          (Dg.match_path dg pp))
+          (v.select pp))
       (pred_target_paths p);
     matches
   in
-  let subtree n = Dg.descendants_or_self n in
-  let new_location connect label =
-    (* [ensure_path] is safe here: the oracle guide reached its shape
-       fixed point during the warm-up pass, so this only looks up. *)
-    Dg.ensure_path dg (Dg.label_path connect @ [ label ])
+  let parents ns = List.filter_map v.parent ns in
+  let write_landing aspects connect label =
+    Option.iter
+      (fun landing ->
+        let u = landing connect label in
+        List.iter (add ~write:true u) aspects)
+      v.landing
   in
-  let parents ns =
-    List.filter_map (fun (n : Dg.node) -> n.Dg.parent) ns
+  (* REMOVE, and the source side of TRANSPOSE. *)
+  let detach ns =
+    List.iter
+      (fun n ->
+        List.iter
+          (fun d ->
+            add ~write:true d A_struct;
+            add ~write:true d A_content)
+          (v.subtree n))
+      ns;
+    List.iter (fun par -> add ~write:true par A_list) (parents ns)
+  in
+  (* INSERT, and the destination side of TRANSPOSE. *)
+  let attach connect label =
+    add ~write:true connect A_list;
+    write_landing [ A_struct; A_content ] connect label
   in
   (match op with
   | Op.Query p ->
-    let matches = nav p in
     List.iter
       (fun n ->
         List.iter
@@ -205,168 +262,48 @@ let guide_accesses dg op =
             add ~write:false d A_struct;
             add ~write:false d A_content;
             add ~write:false d A_list)
-          (subtree n))
-      matches
+          (v.subtree n))
+      (nav p)
   | Op.Change { target; new_text = _ } ->
-    let matches = nav target in
-    List.iter (fun n -> add ~write:true n A_content) matches
-  | Op.Remove p ->
-    let matches = nav p in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun d ->
-            add ~write:true d A_struct;
-            add ~write:true d A_content)
-          (subtree n))
-      matches;
-    List.iter (fun par -> add ~write:true par A_list) (parents matches)
+    List.iter (fun n -> add ~write:true n A_content) (nav target)
+  | Op.Remove p -> detach (nav p)
   | Op.Rename { target; new_label } ->
     let matches = nav target in
     List.iter
-      (fun n ->
-        List.iter (fun d -> add ~write:true d A_struct) (subtree n))
+      (fun n -> List.iter (fun d -> add ~write:true d A_struct) (v.renamed n))
       matches;
     List.iter
-      (fun par ->
-        let u = new_location par new_label in
-        add ~write:true u A_struct)
+      (fun par -> write_landing [ A_struct ] par new_label)
       (parents matches)
   | Op.Insert { target; pos = Op.Into; fragment } ->
-    let matches = nav target in
-    List.iter
-      (fun n ->
-        add ~write:true n A_list;
-        let u = new_location n (frag_label fragment) in
-        add ~write:true u A_struct;
-        add ~write:true u A_content)
-      matches
+    List.iter (fun n -> attach n (frag_label fragment)) (nav target)
   | Op.Insert { target; pos = Op.After | Op.Before; fragment } ->
-    let matches = nav ~positional:true target in
     List.iter
-      (fun par ->
-        add ~write:true par A_list;
-        let u = new_location par (frag_label fragment) in
-        add ~write:true u A_struct;
-        add ~write:true u A_content)
-      (parents matches)
+      (fun par -> attach par (frag_label fragment))
+      (parents (nav ~positional:true target))
   | Op.Transpose { source; dest } ->
     let src = nav source in
     let dst = nav dest in
+    detach src;
     List.iter
       (fun n ->
-        List.iter
-          (fun d ->
-            add ~write:true d A_struct;
-            add ~write:true d A_content)
-          (subtree n))
-      src;
-    List.iter (fun par -> add ~write:true par A_list) (parents src);
-    List.iter
-      (fun n ->
-        add ~write:true n A_list;
         match last_label source with
-        | Some l ->
-          let u = new_location n l in
-          add ~write:true u A_struct;
-          add ~write:true u A_content
-        | None -> ())
+        | Some l -> attach n l
+        | None -> add ~write:true n A_list)
       dst);
   !acc
 
 let build_guide_oracle ops =
-  let doc = parse_universe () in
-  let dg = Dg.build doc in
+  let v = guide_view (Dg.build (parse_universe ())) in
   (* Warm-up: drive the guide's insert/rename/transpose phantom nodes to
      their fixed point, so every access list is computed against one
      consistent shape (mirrors Commute_rules.prepare). *)
-  Array.iter (fun (_, op) -> ignore (guide_accesses dg op)) ops;
-  Array.map (fun (_, op) -> guide_accesses dg op) ops
-
-(* Instance-level oracle (Node2PL / taDOM / Doc2PL): nodes are document
-   node ids.  Phantom-blind by construction — an insert's new content has
-   no pre-existing document node — which matches what instance-granular
-   protocols can lock; the connect node's child-list write carries the
-   conflict instead. *)
-let instance_accesses doc op =
-  let acc = ref [] in
-  let add ?(positional = false) ~write (n : Node.t) aspect =
-    acc :=
-      { a_node = n.Node.id; a_aspect = aspect; a_write = write;
-        a_positional = positional }
-      :: !acc
-  in
-  let nav ?(positional = false) p =
-    let matches = Eval.select doc p in
-    List.iter
-      (fun n ->
-        add ~positional ~write:false n A_struct;
-        List.iter (fun a -> add ~write:false a A_struct) (Node.ancestors n))
-      matches;
-    List.iter
-      (fun pp ->
-        List.iter
-          (fun n ->
-            add ~write:false n A_struct;
-            add ~write:false n A_content)
-          (Eval.select doc pp))
-      (pred_target_paths p);
-    matches
-  in
-  let parents ns = List.filter_map (fun (n : Node.t) -> n.Node.parent) ns in
-  (match op with
-  | Op.Query p ->
-    let matches = nav p in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun d ->
-            add ~write:false d A_struct;
-            add ~write:false d A_content;
-            add ~write:false d A_list)
-          (Node.descendant_or_self n))
-      matches
-  | Op.Change { target; new_text = _ } ->
-    let matches = nav target in
-    List.iter (fun n -> add ~write:true n A_content) matches
-  | Op.Remove p ->
-    let matches = nav p in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun d ->
-            add ~write:true d A_struct;
-            add ~write:true d A_content)
-          (Node.descendant_or_self n))
-      matches;
-    List.iter (fun par -> add ~write:true par A_list) (parents matches)
-  | Op.Rename { target; new_label = _ } ->
-    let matches = nav target in
-    List.iter (fun n -> add ~write:true n A_struct) matches
-  | Op.Insert { target; pos = Op.Into; fragment = _ } ->
-    let matches = nav target in
-    List.iter (fun n -> add ~write:true n A_list) matches
-  | Op.Insert { target; pos = Op.After | Op.Before; fragment = _ } ->
-    let matches = nav ~positional:true target in
-    List.iter (fun par -> add ~write:true par A_list) (parents matches)
-  | Op.Transpose { source; dest } ->
-    let src = nav source in
-    let dst = nav dest in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun d ->
-            add ~write:true d A_struct;
-            add ~write:true d A_content)
-          (Node.descendant_or_self n))
-      src;
-    List.iter (fun par -> add ~write:true par A_list) (parents src);
-    List.iter (fun n -> add ~write:true n A_list) dst);
-  !acc
+  Array.iter (fun (_, op) -> ignore (accesses v op)) ops;
+  Array.map (fun (_, op) -> accesses v op) ops
 
 let build_instance_oracle ops =
-  let doc = parse_universe () in
-  Array.map (fun (_, op) -> instance_accesses doc op) ops
+  let v = instance_view (parse_universe ()) in
+  Array.map (fun (_, op) -> accesses v op) ops
 
 (* ------------------------------------------------------------------ *)
 (* Lock-collision machinery                                            *)
@@ -379,21 +316,6 @@ let lists_conflict compat fp1 fp2 =
           Table.compare_resource r1 r2 = 0 && not (compat m1 m2))
         fp2)
     fp1
-
-(* The Commute coordinator's optimistic downgrade (Site.optimistic_requests
-   re-stated): a read-only footprint is skipped outright, an update's is
-   downgraded to its ancestors' intention modes.  Downgrading never creates
-   a collision XDGL did not have — [compatible m1 m2] implies
-   [compatible (intention_for m1) m2] throughout the lattice — so the
-   commute precision this models is provably >= XDGL's. *)
-let optimistic_requests op fp =
-  if
-    (not (Op.is_update op))
-    && not (List.exists (fun (_, m) -> Mode.is_exclusive m) fp)
-  then []
-  else
-    List.sort_uniq compare
-      (List.map (fun (r, m) -> (r, Mode.intention_for m)) fp)
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
@@ -423,7 +345,6 @@ type fsm_report = {
 type caps_report = { c_name : string; c_violations : string list }
 
 type report = {
-  r_mutation : mutation option;
   r_protocols : proto_report list;
   r_fsm : fsm_report list;
   r_required_missing : string list;
@@ -551,11 +472,15 @@ let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
           if conflict && gap then incr gaps;
           (* Precision under the optimistic downgrade: in either admission
              order, the earlier operation runs downgraded; the later one is
-             downgraded only when the pair's verdict is Commutes. *)
+             downgraded only when the pair's verdict is Commutes.
+             Downgrading never creates a collision XDGL did not have —
+             [compatible m1 m2] implies [compatible (intention_for m1) m2]
+             throughout the lattice — so the commute precision this models
+             is provably >= XDGL's. *)
           if not conflict then begin
             let _, op_i = ops.(i) and _, op_j = ops.(j) in
-            let opt1 = optimistic_requests op_i f1
-            and opt2 = optimistic_requests op_j f2 in
+            let opt1 = Site.optimistic_requests op_i f1
+            and opt2 = Site.optimistic_requests op_j f2 in
             let late1 = if v = Commute_rules.Commutes then opt1 else f1
             and late2 = if v = Commute_rules.Commutes then opt2 else f2 in
             if
@@ -624,23 +549,6 @@ let participant_bound kind =
     true
   | _ -> false
 
-let txn_of_msg = function
-  | Msg.Op_ship { txn; _ }
-  | Msg.Op_status { txn; _ }
-  | Msg.Op_undo { txn; _ }
-  | Msg.Prepare { txn }
-  | Msg.Vote { txn; _ }
-  | Msg.Commit { txn }
-  | Msg.Abort { txn; _ }
-  | Msg.End_ack { txn; _ }
-  | Msg.Wake { txn }
-  | Msg.Wound { txn }
-  | Msg.Victim { txn }
-  | Msg.Outcome_query { txn }
-  | Msg.Outcome_reply { txn; _ } ->
-    txn
-  | Msg.Wfg_request | Msg.Wfg_reply _ -> -1
-
 (* Reachability recording: sample the destination machine's state at the
    instant of delivery.  The cluster tracer fires [Deliver] immediately
    before the handler runs, so the sample is the pre-handling state the
@@ -654,20 +562,22 @@ let record_deliveries reached cluster ~time:_ ev =
   match ev with
   | Cluster.Tr_net { dst; dir = Net.Deliver; msg; _ } -> (
     let kind = Msg.kind msg in
-    let txn = txn_of_msg msg in
-    if participant_bound kind then
+    match (participant_bound kind, Msg.txn msg) with
+    | true, txn ->
       let parts = Cluster.participants cluster in
       if dst >= 0 && dst < Array.length parts then
-        let st = Participant.state_of parts.(dst) ~txn in
+        (* A Wfg_request serves no transaction; it is sampled as idle. *)
+        let st =
+          match txn with
+          | Some txn -> Participant.state_of parts.(dst) ~txn
+          | None -> Participant.P_idle
+        in
         Hashtbl.replace reached.part (st, kind) ()
-      else ()
-    else
-      match kind with
-      | Msg.Kind.Wfg_reply -> ()  (* detector-bound, no FSM *)
-      | _ -> (
-        match Coordinator.phase_of (Cluster.coordinator cluster) ~txn with
-        | Some phase -> Hashtbl.replace reached.coord (phase, kind) ()
-        | None -> ()))
+    | false, Some txn -> (
+      match Coordinator.phase_of (Cluster.coordinator cluster) ~txn with
+      | Some phase -> Hashtbl.replace reached.coord (phase, kind) ()
+      | None -> ())
+    | false, None -> ()  (* Wfg_reply: detector-bound, no FSM *))
   | _ -> ()
 
 let drive sim = Sim.run ~until:10_000.0 ~max_events:2_000_000 sim
@@ -702,13 +612,11 @@ let recovery_scenario =
 let parse_op s =
   match Op.parse s with Ok op -> op | Error e -> invalid_arg e
 
-(* R1 — fast restart: crash at Prepared, restart 30 ms later while the
-   coordinator is still retransmitting Commit, and stall the link back to
-   the coordinator for 8 ms so the restarted site stays in recovery long
-   enough for a fresh shipment and the retransmitted Commit to land on it
-   ([P_recovering] x Op_ship/Commit), and so the coordinator answers the
-   outcome query from [Ending]. *)
-let recovery_run_fast reached =
+(* One choreography: site 1 crashes 0.2 ms after its Prepared record and
+   restarts [down_ms] later; from the restart, deliveries to the
+   coordinator stall for [stall_ms], and [late] (if any) is submitted
+   1 ms after it. *)
+let recovery_run reached ~down_ms ~stall_ms ~late =
   let sim, cluster =
     Explore.setup ~retransmit_ms:2.0 recovery_scenario ~protocol:Protocol.xdgl
       ~two_phase:true
@@ -737,63 +645,17 @@ let recovery_run_fast reached =
                Hashtbl.replace down 1 ();
                Cluster.crash_site cluster ~site:1;
                ignore
-                 (Sim.schedule sim ~delay:30.0 (fun () ->
+                 (Sim.schedule sim ~delay:down_ms (fun () ->
                       Hashtbl.remove down 1;
-                      stall_until := Sim.now sim +. 8.0;
+                      stall_until := Sim.now sim +. stall_ms;
                       Cluster.restart_site cluster ~site:1;
-                      ignore
-                        (Sim.schedule sim ~delay:1.0 (fun () ->
-                             ignore
-                               (Cluster.submit cluster ~client:99
-                                  ~coordinator:0
-                                  ~ops:
-                                    [ ("B", parse_op "CHANGE /r/b/y TO \"2\"") ]
-                                  ~on_finish:(fun _ -> ()))))))))
-      | _ -> ());
-  ignore
-    (Cluster.submit cluster ~client:1 ~coordinator:0
-       ~ops:
-         [
-           ("A", parse_op "CHANGE /r/a/x TO \"1\"");
-           ("B", parse_op "CHANGE /r/b/y TO \"1\"");
-         ]
-       ~on_finish:(fun _ -> ()));
-  drive sim
-
-(* R2 — slow restart: the crashed site stays partitioned past the
-   coordinator's retransmission give-up, so the transaction is finalized
-   Committed without it; the eventual restart resolves its in-doubt WAL
-   record against a [Done] coordinator ([Done] x Outcome_query,
-   [P_recovering] x Outcome_reply, redo replay). *)
-let recovery_run_slow reached =
-  let sim, cluster =
-    Explore.setup ~retransmit_ms:2.0 recovery_scenario ~protocol:Protocol.xdgl
-      ~two_phase:true
-  in
-  let net = Cluster.net cluster in
-  let down : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  Net.set_fault net
-    (Some
-       {
-         Net.f_offsets = (fun ~time:_ ~src:_ ~dst:_ _ _ -> [ 0.0 ]);
-         f_deliverable =
-           (fun ~time:_ ~src:_ ~dst -> not (Hashtbl.mem down dst));
-       });
-  let crashed = ref false in
-  Cluster.attach_tracer cluster (fun ~time ev ->
-      record_deliveries reached cluster ~time ev;
-      match ev with
-      | Cluster.Tr_part { site = 1; ev = Participant.Prepared _ }
-        when not !crashed ->
-        crashed := true;
-        ignore
-          (Sim.schedule sim ~delay:0.2 (fun () ->
-               Hashtbl.replace down 1 ();
-               Cluster.crash_site cluster ~site:1;
-               ignore
-                 (Sim.schedule sim ~delay:1200.0 (fun () ->
-                      Hashtbl.remove down 1;
-                      Cluster.restart_site cluster ~site:1))))
+                      if late <> [] then
+                        ignore
+                          (Sim.schedule sim ~delay:1.0 (fun () ->
+                               ignore
+                                 (Cluster.submit cluster ~client:99
+                                    ~coordinator:0 ~ops:late
+                                    ~on_finish:(fun _ -> ()))))))))
       | _ -> ());
   ignore
     (Cluster.submit cluster ~client:1 ~coordinator:0
@@ -917,8 +779,21 @@ let fsm_audit ~mutate () =
     ~two_phase:false;
   scenario_run reached Explore.reference ~protocol:Protocol.xdgl
     ~two_phase:true;
-  recovery_run_fast reached;
-  recovery_run_slow reached;
+  (* R1 — fast restart: site 1 is back 30 ms later, while the coordinator
+     is still retransmitting Commit, and its replies stall for 8 ms, so the
+     restarted site stays in recovery long enough for a fresh shipment and
+     the retransmitted Commit to land on it ([P_recovering] x
+     Op_ship/Commit), and the coordinator answers the outcome query from
+     [Ending]. *)
+  recovery_run reached ~down_ms:30.0 ~stall_ms:8.0
+    ~late:[ ("B", parse_op "CHANGE /r/b/y TO \"2\"") ];
+  (* R2 — slow restart: the site stays down past the coordinator's
+     retransmission give-up, so the transaction is finalized Committed
+     without it; the restart resolves its in-doubt WAL record against a
+     [Done] coordinator ([Done] x Outcome_query, [P_recovering] x
+     Outcome_reply, redo replay).  A zero stall ends at restart time and
+     never blocks a delivery. *)
+  recovery_run reached ~down_ms:1200.0 ~stall_ms:0.0 ~late:[];
   let audit machine states classify state_name reached_tbl =
     let handled = ref 0 and ignored = ref 0 in
     let impossible = ref 0 and dropped = ref 0 in
@@ -1158,7 +1033,6 @@ let certify ?mutate ?(max_seconds = 60.0) () =
         caps_reports
   in
   {
-    r_mutation = mutate;
     r_protocols = protocols;
     r_fsm = fsm;
     r_required_missing = required_missing @ budget_violations;
@@ -1177,10 +1051,6 @@ let to_json r =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  add "  \"mutation\": %s,\n"
-    (match r.r_mutation with
-    | None -> "null"
-    | Some m -> Json.string (mutation_to_string m));
   add "  \"protocols\": [\n";
   List.iteri
     (fun i p ->

@@ -25,22 +25,7 @@ let txn_of = function
   | Lock { ev = Table.Acquired { txn; _ } | Table.Released { txn; _ }; _ } ->
     Some txn
   | Lock { ev = Table.Cleared; _ } -> None
-  | Net { msg; _ } -> (
-    match msg with
-    | Msg.Op_ship { txn; _ }
-    | Msg.Op_status { txn; _ }
-    | Msg.Op_undo { txn; _ }
-    | Msg.Prepare { txn }
-    | Msg.Vote { txn; _ }
-    | Msg.Commit { txn }
-    | Msg.Abort { txn; _ }
-    | Msg.End_ack { txn; _ }
-    | Msg.Wake { txn }
-    | Msg.Wound { txn }
-    | Msg.Victim { txn }
-    | Msg.Outcome_query { txn }
-    | Msg.Outcome_reply { txn; _ } -> Some txn
-    | Msg.Wfg_request | Msg.Wfg_reply _ -> None)
+  | Net { msg; _ } -> Msg.txn msg
   | Phase { txn; _ } -> Some txn
   | Part
       { ev =

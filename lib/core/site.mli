@@ -126,6 +126,14 @@ val process_operation :
     reported to the history sink so serializability stays strictly
     checked. *)
 
+val optimistic_requests :
+  Dtx_update.Op.t ->
+  (Dtx_locks.Table.resource * Dtx_locks.Mode.t) list ->
+  (Dtx_locks.Table.resource * Dtx_locks.Mode.t) list
+(** The locks an [optimistic] {!process_operation} takes in place of the
+    derived footprint: none for a read-only footprint, otherwise each
+    request downgraded to its intention mode (sorted, deduplicated). *)
+
 val undo_operation : ?only_attempt:int -> t -> txn:int -> op_index:int -> unit
 (** Reverse one executed operation and release the locks it took (the
     cross-site all-or-nothing rule, Alg. 1 l. 16). No-op if the operation

@@ -166,22 +166,6 @@ type run_res = {
   rr_depth : int;
 }
 
-let msg_txn = function
-  | Msg.Op_ship { txn; _ }
-  | Msg.Op_status { txn; _ }
-  | Msg.Op_undo { txn; _ }
-  | Msg.Prepare { txn }
-  | Msg.Vote { txn; _ }
-  | Msg.Commit { txn }
-  | Msg.Abort { txn; _ }
-  | Msg.End_ack { txn; _ }
-  | Msg.Wake { txn }
-  | Msg.Wound { txn }
-  | Msg.Victim { txn }
-  | Msg.Outcome_query { txn }
-  | Msg.Outcome_reply { txn; _ } -> Some txn
-  | Msg.Wfg_request | Msg.Wfg_reply _ -> None
-
 (* Two pending deliveries are independent — their delivery orders belong to
    the same Mazurkiewicz trace — iff they target different sites (each
    handler mutates only its destination site's lock table / coordinator /
@@ -287,7 +271,7 @@ let replay scen cfg ~lookup ~verdicts ~prefix ~sleep0 =
       en_key =
         Format.asprintf "%d>%d:%a" d.Net.d_src d.Net.d_dst Msg.pp d.Net.d_msg;
       en_dst = d.Net.d_dst;
-      en_txn = msg_txn d.Net.d_msg;
+      en_txn = Msg.txn d.Net.d_msg;
       en_fanout = fanout;
       en_ships = ships }
   in

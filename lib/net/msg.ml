@@ -119,6 +119,22 @@ let kind = function
   | Outcome_query _ -> Kind.Outcome_query
   | Outcome_reply _ -> Kind.Outcome_reply
 
+let txn = function
+  | Op_ship { txn; _ }
+  | Op_status { txn; _ }
+  | Op_undo { txn; _ }
+  | Prepare { txn }
+  | Vote { txn; _ }
+  | Commit { txn }
+  | Abort { txn; _ }
+  | End_ack { txn; _ }
+  | Wake { txn }
+  | Wound { txn }
+  | Victim { txn }
+  | Outcome_query { txn }
+  | Outcome_reply { txn; _ } -> Some txn
+  | Wfg_request | Wfg_reply _ -> None
+
 (* --- encoding ------------------------------------------------------- *)
 
 let put_varint b n =

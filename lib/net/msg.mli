@@ -126,6 +126,10 @@ end
 
 val kind : t -> Kind.t
 
+val txn : t -> int option
+(** The transaction a message serves; [None] for the deadlock detector's
+    {!t.Wfg_request} and {!t.Wfg_reply}, which serve a whole site. *)
+
 val encode : t -> string
 (** Compact binary rendering: a kind tag, then LEB128 varints for integers
     and length-prefixed strings (operations ride their {!Op.to_string}

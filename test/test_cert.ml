@@ -1,6 +1,7 @@
 (* Tests for the symbolic soundness certifier (Dtx_cert): clean
-   certification of every registered protocol, precision ordering, FSM/WAL
-   pass integrity — plus the protocol registry and CLI-parsing hardening
+   certification of every registered protocol with its pass-(a) figures
+   pinned, precision ordering, FSM/WAL pass integrity, the conflict
+   oracle's per-pair bits and view rules — plus the protocol registry and CLI-parsing hardening
    (duplicate-alias rejection in Protocol.register, Protocol_arg edge
    cases). The certifier's four seeded faults run in test_faults.
 
@@ -16,6 +17,10 @@ module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
 module Op = Dtx_update.Op
 module Doc = Dtx_xml.Doc
+module Node = Dtx_xml.Node
+module Dg = Dtx_dataguide.Dataguide
+module Eval = Dtx_xpath.Eval
+module Xp = Dtx_xpath.Parser
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -64,7 +69,136 @@ let test_clean_universe_shape () =
     r.Cert.r_protocols;
   (* The three-way agreement only runs for the optimistic protocol. *)
   let commute = proto_by_name r "Commute" in
-  checkb "commute pairs checked" true (commute.Cert.pr_commute_checked > 0)
+  checkb "commute pairs checked" true (commute.Cert.pr_commute_checked > 0);
+  (* Pinned pass-(a) figures: (conflicting, known_gaps, false_collisions,
+     precision, commute_checked) over the 153 pairs. *)
+  List.iter
+    (fun (name, conflicting, gaps, fc, precision, checked) ->
+      let p = proto_by_name r name in
+      check (name ^ " pairs") 153 p.Cert.pr_pairs;
+      check (name ^ " conflicting") conflicting p.Cert.pr_conflicting;
+      check (name ^ " known_gaps") gaps p.Cert.pr_known_gaps;
+      check (name ^ " false_collisions") fc p.Cert.pr_false_collisions;
+      Alcotest.(check string)
+        (name ^ " precision") precision
+        (Printf.sprintf "%.4f" p.Cert.pr_precision);
+      check (name ^ " commute_checked") checked p.Cert.pr_commute_checked)
+    [
+      ("XDGL", 57, 5, 10, "0.8958", 0);
+      ("XDGL+VL", 57, 5, 10, "0.8958", 0);
+      ("Node2PL", 42, 0, 49, "0.5586", 0);
+      ("Doc2PL", 42, 0, 96, "0.1351", 0);
+      ("taDOM", 42, 3, 10, "0.9099", 0);
+      ("Commute", 57, 5, 8, "0.9167", 153);
+    ]
+
+(* --- the conflict oracle ------------------------------------------------- *)
+
+(* One character per unordered template pair (i <= j, row-major): 1 when
+   the oracle sees a conflict. *)
+let conflict_bits ?include_positional oracle =
+  let n = Array.length oracle in
+  let b = Buffer.create 160 in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      Buffer.add_char b
+        (if Cert.conflicts ?include_positional oracle.(i) oracle.(j) then '1'
+         else '0')
+    done
+  done;
+  Buffer.contents b
+
+let test_oracle_conflict_bits () =
+  let ops = Cert.parse_templates () in
+  let guide = Cert.build_guide_oracle ops in
+  let inst = Cert.build_instance_oracle ops in
+  let pin name expected got = Alcotest.(check string) name expected got in
+  pin "guide"
+    "000001101011011110000000100001001000001110001001001101011011110001010010\
+     001100001100000100000000001010000001100001101100100011100010100010100001\
+     101101101"
+    (conflict_bits guide);
+  pin "guide, positional accesses dropped"
+    "000001101011011110000000100001001000001110001001001101011011110001010010\
+     001100001100000100000000001010000001100001001100100011100000100000100001\
+     001100101"
+    (conflict_bits ~include_positional:false guide);
+  pin "instance"
+    "000001101011011110000000100000000000001110000001001101011011110001010010\
+     001100001000000100000000001010000001100001100100100011000010000000000000\
+     000000001"
+    (conflict_bits inst);
+  pin "instance, positional accesses dropped"
+    "000001101011011110000000100000000000001110000001001101011011110001010010\
+     001100001000000100000000001010000001100000000100100011000000000000000000\
+     000000001"
+    (conflict_bits ~include_positional:false inst)
+
+let op_of s =
+  match Op.parse s with Ok op -> op | Error e -> Alcotest.failf "%s: %s" s e
+
+(* The node ids an access list writes under [aspect], sorted. *)
+let writes acc aspect =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun a ->
+         if a.Cert.a_write && a.Cert.a_aspect = aspect then Some a.Cert.a_node
+         else None)
+       acc)
+
+let ids id ns = List.sort_uniq compare (List.map id ns)
+
+(* Rules the template universe's conflict bits cannot tell apart, asserted
+   on [accesses] directly for both views. *)
+let test_oracle_view_rules () =
+  let dg = Dg.build (Cert.parse_universe ()) in
+  let gv = Cert.guide_view dg in
+  let g path = Dg.match_path dg (Xp.parse path) in
+  let gid (n : Dg.node) = n.Dg.dg_id in
+  let doc = Cert.parse_universe () in
+  let iv = Cert.instance_view doc in
+  let i path = Eval.select doc (Xp.parse path) in
+  let iid (n : Node.t) = n.Node.id in
+  let writes_of v s aspect = writes (Cert.accesses v (op_of s)) aspect in
+  (* REMOVE writes the parent's child list. *)
+  Alcotest.(check (list int))
+    "guide REMOVE writes the parent's A_list" (ids gid (g "/r/a"))
+    (writes_of gv "REMOVE /r/a/b" Cert.A_list);
+  Alcotest.(check (list int))
+    "instance REMOVE writes the parent's A_list" (ids iid (i "/r/a"))
+    (writes_of iv "REMOVE /r/a/b" Cert.A_list);
+  Alcotest.(check (list int))
+    "TRANSPOSE writes the source parent's A_list"
+    (ids iid (i "/r/a" @ i "/r/d"))
+    (writes_of iv "TRANSPOSE /r/d/b INTO /r/a" Cert.A_list);
+  (* RENAME relabels a whole guide subtree, but one instance node. *)
+  let a_subtree = Dg.descendants_or_self (List.hd (g "/r/a")) in
+  checkb "guide /r/a has descendants" true (List.length a_subtree > 1);
+  let renamed = writes_of gv "RENAME /r/a TO e" Cert.A_struct in
+  checkb "guide RENAME writes A_struct on the whole subtree" true
+    (List.for_all (fun n -> List.mem (gid n) renamed) a_subtree);
+  Alcotest.(check (list int))
+    "instance RENAME writes A_struct on the node only" (ids iid (i "/r/a"))
+    (writes_of iv "RENAME /r/a TO e" Cert.A_struct);
+  (* INSERT INTO writes the guide landing node; the instance view has no
+     landing, only the connect node's child list. *)
+  let insert = "INSERT INTO /r/d <z>x</z>" in
+  let gacc = Cert.accesses gv (op_of insert) in
+  let landing = ids gid (g "/r/d/z") in
+  check "guide landing node created" 1 (List.length landing);
+  Alcotest.(check (list int)) "guide INSERT INTO writes the landing A_struct"
+    landing (writes gacc Cert.A_struct);
+  Alcotest.(check (list int))
+    "guide INSERT INTO writes the landing A_content" landing
+    (writes gacc Cert.A_content);
+  Alcotest.(check (list int))
+    "instance INSERT INTO writes only the connect node's A_list"
+    (ids iid (i "/r/d"))
+    (writes_of iv insert Cert.A_list);
+  check "instance INSERT INTO writes nothing else" 1
+    (List.length
+       (List.filter (fun a -> a.Cert.a_write)
+          (Cert.accesses iv (op_of insert))))
 
 let test_commute_precision_beats_xdgl () =
   (* The whole point of the optimistic protocol: semantic commutativity
@@ -98,6 +232,12 @@ let test_fsm_pass_integrity () =
         (f.Cert.f_handled + f.Cert.f_ignored + f.Cert.f_impossible
         > f.Cert.f_reached))
     r.Cert.r_fsm;
+  List.iter
+    (fun (machine, reached) ->
+      match List.find_opt (fun f -> f.Cert.f_machine = machine) r.Cert.r_fsm with
+      | Some f -> check (machine ^ " reached pairs") reached f.Cert.f_reached
+      | None -> Alcotest.failf "%s missing from the report" machine)
+    [ ("coordinator", 7); ("participant", 11) ];
   check "required-reachable all reached" 0
     (List.length r.Cert.r_required_missing);
   check "wal crash points clean" 0 (List.length r.Cert.r_wal_violations)
@@ -238,6 +378,9 @@ let () =
             test_fsm_pass_integrity;
           Alcotest.test_case "runtime recorded" `Quick test_runtime_recorded;
           Alcotest.test_case "json renders" `Quick test_json_renders ] );
+      ( "oracle",
+        [ Alcotest.test_case "conflict bits" `Quick test_oracle_conflict_bits;
+          Alcotest.test_case "view rules" `Quick test_oracle_view_rules ] );
       ( "registry",
         [ Alcotest.test_case "duplicate rejection" `Quick
             test_register_rejects_duplicates ] );

@@ -97,6 +97,29 @@ let test_round_trip_every_constructor () =
       | Error e -> Alcotest.failf "decode failed for %a: %s" Msg.pp m e)
     samples
 
+(* [Msg.txn] over the samples, in order: every constructor but the
+   detector's two serves the transaction its [txn] field names. *)
+let test_txn_every_constructor () =
+  let expected =
+    [ Some 42; Some 7; Some 7; Some 8; Some 9; Some 11; Some 13; Some 13;
+      Some 13; Some 14; Some 15; Some 15; Some 14; Some 16; Some 17; Some 18;
+      Some 19; Some 19; Some 20; None; None; None ]
+  in
+  check_int "one expectation per sample" (List.length samples)
+    (List.length expected);
+  List.iter2
+    (fun m want ->
+      Alcotest.(check (option int)) (Format.asprintf "txn %a" Msg.pp m) want
+        (Msg.txn m);
+      checkb
+        (Format.asprintf "None exactly for the detector's messages: %a" Msg.pp
+           m)
+        (want = None)
+        (match Msg.kind m with
+        | Msg.Kind.Wfg_request | Msg.Kind.Wfg_reply -> true
+        | _ -> false))
+    samples expected
+
 let test_kind_index_dense () =
   check_int "count" (List.length Msg.Kind.all) Msg.Kind.count;
   let seen = Array.make Msg.Kind.count false in
@@ -187,6 +210,8 @@ let () =
     [ ( "codec",
         [ Alcotest.test_case "round-trip every constructor" `Quick
             test_round_trip_every_constructor;
+          Alcotest.test_case "txn every constructor" `Quick
+            test_txn_every_constructor;
           Alcotest.test_case "kind index dense" `Quick test_kind_index_dense;
           Alcotest.test_case "kind names" `Quick test_kind_names ] );
       ( "sizes",
