@@ -86,7 +86,7 @@ let protocol_arg = Protocol_arg.arg
 
 let generate_cmd =
   let mb =
-    Arg.(value & opt float 1.0 & info [ "mb" ] ~docv:"MB"
+    Arg.(value & opt Protocol_arg.mb 1.0 & info [ "mb" ] ~docv:"MB"
            ~doc:"Database size in paper-MB (1 MB \xe2\x89\x88 250 nodes).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
@@ -248,12 +248,12 @@ let policy_conv =
            | Dtx.Site.Wound_wait -> "wound-wait") )
 
 let workload_cmd =
-  let clients = Arg.(value & opt int 50 & info [ "clients" ] ~doc:"Number of clients.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Number of sites.") in
+  let clients = Arg.(value & opt Protocol_arg.count 50 & info [ "clients" ] ~doc:"Number of clients.") in
+  let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt int 5 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt int 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
-  let mb = Arg.(value & opt float 40.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
+  let mb = Arg.(value & opt Protocol_arg.mb 40.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
   let total = Arg.(value & flag & info [ "total-replication" ] ~doc:"Replicate every document everywhere.") in
   let retries = Arg.(value & opt int 0 & info [ "retries" ] ~doc:"Client resubmissions after abort.") in
@@ -289,12 +289,12 @@ let workload_cmd =
 (* --- scale ------------------------------------------------------------------*)
 
 let scale_cmd =
-  let clients = Arg.(value & opt int 10_000 & info [ "clients" ] ~doc:"Number of clients.") in
-  let sites = Arg.(value & opt int 1000 & info [ "sites" ] ~doc:"Number of sites.") in
+  let clients = Arg.(value & opt Protocol_arg.count 10_000 & info [ "clients" ] ~doc:"Number of clients.") in
+  let sites = Arg.(value & opt Protocol_arg.count 1000 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt int 1 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt int 3 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
-  let mb = Arg.(value & opt float 10.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
+  let mb = Arg.(value & opt Protocol_arg.mb 10.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
   let no_timing =
     Arg.(value & flag
@@ -352,12 +352,12 @@ let analyze_cmd =
     Arg.(value & opt (list int) [ 7; 107 ] & info [ "seeds" ] ~docv:"SEEDS"
            ~doc:"Comma-separated workload seeds.")
   in
-  let clients = Arg.(value & opt int 12 & info [ "clients" ] ~doc:"Number of clients.") in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Number of sites.") in
+  let clients = Arg.(value & opt Protocol_arg.count 12 & info [ "clients" ] ~doc:"Number of clients.") in
+  let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt int 4 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt int 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 30 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
-  let mb = Arg.(value & opt float 4.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
+  let mb = Arg.(value & opt Protocol_arg.mb 4.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Tiny single-seed configuration (the make-check gate).")
@@ -442,8 +442,8 @@ let chaos_cmd =
     Arg.(value & opt int 1 & info [ "first-seed" ]
            ~doc:"Seed of the first plan; plan $(i,i) uses first-seed + i.")
   in
-  let sites = Arg.(value & opt int 4 & info [ "sites" ] ~doc:"Number of sites.") in
-  let clients = Arg.(value & opt int 6 & info [ "clients" ] ~doc:"Number of clients.") in
+  let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
+  let clients = Arg.(value & opt Protocol_arg.count 6 & info [ "clients" ] ~doc:"Number of clients.") in
   let txns = Arg.(value & opt int 10 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt int 4 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 40 & info [ "update-pct" ] ~doc:"Percent update transactions.") in

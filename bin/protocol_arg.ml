@@ -1,10 +1,38 @@
-(* Shared Cmdliner plumbing for protocol selection, driven entirely by the
+(* Shared Cmdliner plumbing: protocol selection, driven entirely by the
    {!Dtx_protocol.Protocol} registry so a newly registered protocol shows up
    in every subcommand (workload/scale/explore pick one; analyze/chaos sweep
-   a matrix) without touching this file. *)
+   a matrix) without touching this file, and the range-checked numeric
+   arguments the subcommands share. *)
 
 open Cmdliner
 module Protocol = Dtx_protocol.Protocol
+module Generator = Dtx_xmark.Generator
+
+(* Counts and sizes are checked where they are parsed, so an out-of-range
+   value ends in a usage error naming the option rather than an uncaught
+   exception deep in the run. *)
+
+let count =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.int s with
+        | Ok n when n > 0 -> Ok n
+        | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive count" n))
+        | Error _ as e -> e),
+      Format.pp_print_int )
+
+let mb =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.float s with
+        | Ok mb when Float.is_finite mb && mb >= Generator.min_mb -> Ok mb
+        | Ok _ ->
+          Error
+            (`Msg
+               (Printf.sprintf "%s is not a size of at least %g paper-MB" s
+                  Generator.min_mb))
+        | Error _ as e -> e),
+      Format.pp_print_float )
 
 let names () =
   Protocol.registered () |> List.map Protocol.kind_to_string

@@ -108,15 +108,6 @@ let latency t ~src ~dst ~bytes =
 let lossy_drop t ~src ~dst channel =
   src <> dst && channel = Unreliable && t.drop_pct > 0 && Rng.pct t.rng t.drop_pct
 
-let send t ~src ~dst ~bytes ?(channel = Reliable) k =
-  let delay = latency t ~src ~dst ~bytes in
-  if src <> dst then begin
-    t.messages <- t.messages + 1;
-    t.bytes <- t.bytes + bytes
-  end;
-  if lossy_drop t ~src ~dst channel then t.dropped <- t.dropped + 1
-  else ignore (Sim.schedule t.sim ~delay k)
-
 let dispatch t ~src ~dst ?(channel = Reliable) msg =
   let h =
     match t.handler with
@@ -233,11 +224,3 @@ let pp_traffic ppf t =
           r.t_sent r.t_dropped r.t_bytes)
       rows
   end
-
-let reset_counters t =
-  t.messages <- 0;
-  t.bytes <- 0;
-  t.dropped <- 0;
-  Array.fill t.sent_by_kind 0 Msg.Kind.count 0;
-  Array.fill t.dropped_by_kind 0 Msg.Kind.count 0;
-  Array.fill t.bytes_by_kind 0 Msg.Kind.count 0

@@ -85,9 +85,9 @@ val set_tracer : t -> tracer option -> unit
 (** Install (or remove) a trace sink on {!dispatch}ed messages. [Deliver]
     fires inside the simulator event, immediately before the handler, so a
     tracer observes exactly the causal order the cluster does. A duplicated
-    message produces one [Send] and one [Deliver] {e per copy}. The untyped
-    {!send} path is not traced. [None] (the default) leaves dispatch
-    unchanged beyond one immediate [match] per message. *)
+    message produces one [Send] and one [Deliver] {e per copy}. [None] (the
+    default) leaves dispatch unchanged beyond one immediate [match] per
+    message. *)
 
 (** A fault-plan hook (see [Dtx_fault.Injector]). [f_offsets] is consulted
     once per remote {!dispatch}: it returns the extra delay of every copy to
@@ -116,14 +116,6 @@ val dispatch : t -> src:int -> dst:int -> ?channel:channel -> Msg.t -> unit
     coordinator retransmission.
     @raise Invalid_argument if no handler was registered. *)
 
-val send :
-  t -> src:int -> dst:int -> bytes:int -> ?channel:channel -> (unit -> unit) ->
-  unit
-(** Low-level untyped delivery (simulation plumbing and tests): deliver [k]
-    after the link delay of a [bytes]-sized message. Counted in the totals
-    but not in the per-kind {!traffic}, not traced, and not subject to
-    fault plans. Same [src = dst] and [channel] semantics as {!dispatch}. *)
-
 val latency : t -> src:int -> dst:int -> bytes:int -> float
 (** The delay a message would incur. *)
 
@@ -141,7 +133,7 @@ val pending_deliveries : t -> (Dtx_sim.Sim.event_id * delivery) list
     how the schedule explorer distinguishes reorderable message deliveries
     from internal timers among the pending events. Entries leave the set
     when their event fires — even if a mid-flight partition then swallows
-    the copy. The untyped {!send} path is not tracked. *)
+    the copy. *)
 
 val messages : t -> int
 (** Remote messages sent so far. *)
@@ -165,5 +157,3 @@ val traffic : t -> traffic list
 
 val pp_traffic : Format.formatter -> t -> unit
 (** A small table of {!traffic} (the bench/example "message breakdown"). *)
-
-val reset_counters : t -> unit

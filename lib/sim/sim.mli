@@ -9,9 +9,8 @@
     Time is a [float] in {e simulated milliseconds}.
 
     The dispatch queue is a calendar queue ({!Dtx_util.Calqueue}) with O(1)
-    expected operations, dispatching in (time, seq) order. Setting
-    [DTX_SIM_DEBUG=1] enables queue/live-table consistency assertions after
-    each cancelled-entry compaction.
+    expected operations, dispatching in (time, seq) order. It holds exactly
+    the pending events: an event leaves it only by firing.
 
     The simulator runs on one domain. Every result the paper reports is in
     virtual time, which the wall-clock speed of the dispatch loop cannot
@@ -20,7 +19,8 @@
 type t
 
 type event_id
-(** Handle for a scheduled event, usable with {!cancel}. *)
+(** Identity of a scheduled event: what a {!set_chooser} hook returns to
+    pick it among the {!candidates}. *)
 
 val create : unit -> t
 (** A fresh simulator with clock at [0.0]. *)
@@ -35,21 +35,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** [schedule_at sim ~time f] runs [f] at absolute [time] (clamped to [now] if
     in the past). *)
-
-val cancel : t -> event_id -> unit
-(** [cancel sim id] prevents a pending event from firing; cancelling an
-    already-fired or unknown event is a no-op that retains no state (a
-    cancellation mark lives only as long as the event sits in the queue). *)
-
-val cancelled_backlog : t -> int
-(** Number of still-queued events marked cancelled — bookkeeping the
-    simulator currently retains for cancellations. Drops back to zero once
-    those events' times pass, or earlier when compaction kicks in: once at
-    least 64 cancellations are pending {e and} they outnumber half the
-    queued events, the queue is rebuilt without them in one pass, so the
-    backlog can never grow unboundedly ahead of the clock. Cancels aimed at
-    fired or unknown ids never contribute. Exposed for leak regression
-    tests. *)
 
 val every : t -> period:float -> ?start:float -> (unit -> bool) -> unit
 (** [every sim ~period f] runs [f] at [start] (default [period]) and then
@@ -75,10 +60,8 @@ type candidate = { c_time : float; c_seq : event_id }
 (** One pending event a chooser may fire next. *)
 
 val candidates : t -> candidate list
-(** Every live, non-cancelled event, sorted by (time, seq) — the enabled set
-    a schedule explorer branches over. Calling this retires events already
-    {!cancel}led (they are not schedule choices), so it perturbs
-    {!cancelled_backlog}; the normal dispatch path never calls it. *)
+(** Every pending event, sorted by (time, seq) — the enabled set a schedule
+    explorer branches over. *)
 
 val set_chooser : t -> (candidate list -> event_id) option -> unit
 (** Install (or remove) a scheduler hook. While installed, {!step} (and
@@ -88,11 +71,12 @@ val set_chooser : t -> (candidate list -> event_id) option -> unit
     event behind the timestamp frontier never rewinds the clock: the clock
     advances to [max now chosen.c_time], so [now] stays monotone and events
     the fired action schedules land in the future. With [None] (the
-    default) dispatch order is the classic (time, seq) order.
-    @raise Invalid_argument if the hook returns an id that is not live. *)
+    default) dispatch order is the classic (time, seq) order. The chosen
+    event is removed from the queue in place.
+    @raise Invalid_argument if the hook returns an id that is not pending. *)
 
 val set_tracer : t -> (time:float -> seq:int -> unit) option -> unit
-(** Install (or remove) a trace sink called for every fired event (cancelled
-    ones included), after the clock advanced to its timestamp. Used by the
+(** Install (or remove) a trace sink called for every fired event, after
+    the clock advanced to its timestamp. Used by the
     analyzer to check clock monotonicity; [None] (the default) keeps the
     dispatch loop unchanged beyond one immediate [match]. *)

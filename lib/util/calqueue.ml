@@ -53,8 +53,6 @@ let create ~time ~seq () =
 
 let length q = q.count
 
-let is_empty q = q.count = 0
-
 (* Absolute window number of a timestamp. Monotone in [tm] (float division
    and floor both are), which is all the ordering proof needs. *)
 let win q tm = int_of_float (Float.floor (tm /. q.width))
@@ -217,6 +215,11 @@ let peek q =
     | g :: _ -> Some (Queue.peek g.g_q)
     | [] -> assert false)
 
+(* Halve the calendar once it is mostly empty days. *)
+let shrink q =
+  let n = Array.length q.buckets in
+  if n > min_buckets && q.groups * 8 < n then resize q (n / 2)
+
 let pop q =
   match locate q with
   | None -> None
@@ -230,48 +233,32 @@ let pop q =
         q.groups <- q.groups - 1
       end;
       q.count <- q.count - 1;
-      let n = Array.length q.buckets in
-      if n > min_buckets && q.groups * 8 < n then resize q (n / 2);
+      shrink q;
       Some x)
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
-
-let filter_in_place f q =
-  let kept = ref 0 in
-  let kept_groups = ref 0 in
-  Array.iteri
-    (fun i b ->
-      let b' =
-        List.filter_map
-          (fun g ->
-            let items =
-              List.rev
-                (Queue.fold (fun acc y -> if f y then y :: acc else acc) [] g.g_q)
-            in
-            match items with
-            | [] -> None
-            | _ ->
-              let gq = Queue.create () in
-              List.iter (fun y -> Queue.add y gq) items;
-              kept := !kept + Queue.length gq;
-              incr kept_groups;
-              (* g_last stays the historical max — a conservative, correct
-                 fast-append bound *)
-              Some { g with g_q = gq })
-          b
-      in
-      q.buckets.(i) <- b')
-    q.buckets;
-  q.count <- !kept;
-  q.groups <- !kept_groups;
-  resize q (next_pow2 (max 1 !kept_groups) min_buckets)
-
-let clear q =
-  q.buckets <- Array.make min_buckets [];
-  q.width <- 1.0;
-  q.count <- 0;
-  q.groups <- 0;
-  q.cur_win <- parked
+(* Removing an element leaves every other one where it was, so the scan
+   frontier stays a lower bound on the pending windows. *)
+let remove q x =
+  let tm = q.time x and sx = q.seq x in
+  let i = bucket_of q tm in
+  let rec go = function
+    | [] -> invalid_arg "Calqueue.remove: element not queued"
+    | g :: rest when g.g_time = tm -> (
+      let items = Queue.fold (fun acc y -> y :: acc) [] g.g_q in
+      match List.partition (fun y -> q.seq y = sx) items with
+      | [], _ -> invalid_arg "Calqueue.remove: element not queued"
+      | _, [] ->
+        q.groups <- q.groups - 1;
+        rest
+      | _, kept ->
+        Queue.clear g.g_q;
+        List.iter (fun y -> Queue.add y g.g_q) (List.rev kept);
+        g :: rest)
+    | g :: rest -> g :: go rest
+  in
+  q.buckets.(i) <- go q.buckets.(i);
+  q.count <- q.count - 1;
+  shrink q
 
 let to_list q =
   Array.fold_left

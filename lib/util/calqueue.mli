@@ -22,8 +22,6 @@ val create : time:('a -> float) -> seq:('a -> int) -> unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -32,12 +30,11 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element by [(time, seq)]. *)
 
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Drop every element on which the predicate is false, in one pass —
-    the simulator's cancelled-entry compaction. The queue is resized for
-    the surviving population. *)
-
-val clear : 'a t -> unit
+val remove : 'a t -> 'a -> unit
+(** Remove the element with the given element's [(time, seq)] key, leaving
+    the rest in place — how the simulator fires the event a chooser picked
+    out of [(time, seq)] order.
+    @raise Invalid_argument if no such element is queued. *)
 
 val to_list : 'a t -> 'a list
 (** Every element in unspecified order (queue unchanged). *)

@@ -42,7 +42,13 @@ let params_of_nodes ?(seed = 42) target =
   let categories = max 1 (int_of_float (budget *. 0.05 /. float_of_int cat_nodes)) in
   { seed; items_per_region; persons; open_auctions; closed_auctions; categories }
 
-let params_of_mb ?seed mb = params_of_nodes ?seed (int_of_float (250.0 *. mb))
+(* The paper-MB calibration: 1 MB ≈ 250 document nodes. *)
+let nodes_per_mb = 250.0
+
+let min_mb = float_of_int fixed_nodes /. nodes_per_mb
+
+let params_of_mb ?seed mb =
+  params_of_nodes ?seed (int_of_float (nodes_per_mb *. mb))
 
 let first_names =
   [| "Ana"; "Bruno"; "Carla"; "Davi"; "Edna"; "Fabio"; "Gina"; "Hugo";

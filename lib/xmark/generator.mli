@@ -28,7 +28,10 @@ val params_of_nodes : ?seed:int -> int -> params
 
 val params_of_mb : ?seed:int -> float -> params
 (** [params_of_mb mb] ≈ [params_of_nodes (250 * mb)] — the paper-MB
-    calibration. *)
+    calibration. @raise Invalid_argument below {!min_mb}. *)
+
+val min_mb : float
+(** The smallest size {!params_of_mb} accepts (0.04 paper-MB). *)
 
 val generate : ?name:string -> params -> Dtx_xml.Doc.t
 (** Deterministic for a given [params] (including [seed]). Default [name] is

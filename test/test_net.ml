@@ -1,7 +1,9 @@
-(* Tests for the simulated network: latency model, ordering, counters. *)
+(* Tests for the simulated network: latency model, ordering, counters and
+   loss, all through [Net.dispatch] and a registered handler. *)
 
 module Sim = Dtx_sim.Sim
 module Net = Dtx_net.Net
+module Msg = Dtx_net.Msg
 
 let check = Alcotest.(check int)
 let checkf = Alcotest.(check (float 1e-9))
@@ -15,59 +17,73 @@ let test_latency_model () =
   checkf "base only" 1.0 (Net.latency net ~src:0 ~dst:1 ~bytes:0);
   checkf "base + size" 3.0 (Net.latency net ~src:0 ~dst:1 ~bytes:1024)
 
-let test_delivery_time () =
+(* A network whose handler logs every delivery as (dst, txn, clock); a
+   [Commit { txn }] carries the label a test orders by. *)
+let logged ?(config = Net.Config.lan) () =
   let sim = Sim.create () in
-  let net = Net.of_config ~sim
-      { Net.Config.lan with base_latency_ms = 0.5; per_kb_ms = 0.0 } in
-  let at = ref (-1.0) in
-  Net.send net ~src:0 ~dst:1 ~bytes:64 (fun () -> at := Sim.now sim);
+  let net = Net.of_config ~sim config in
+  let log = ref [] in
+  Net.set_handler net (fun ~src:_ ~dst msg ->
+      log := (dst, Option.value (Msg.txn msg) ~default:(-1), Sim.now sim) :: !log);
+  (sim, net, log)
+
+let commit txn = Msg.Commit { txn }
+
+(* A message a few KiB long, labelled [-1] in the log. *)
+let big = Msg.Wfg_reply { edges = List.init 500 (fun i -> (i, i + 1)) }
+
+let test_delivery_time () =
+  let sim, net, log =
+    logged ~config:{ Net.Config.lan with base_latency_ms = 0.5; per_kb_ms = 0.0 } ()
+  in
+  Net.dispatch net ~src:0 ~dst:1 (commit 1);
   Sim.run sim;
-  checkf "delivered after base latency" 0.5 !at
+  Alcotest.(check (list (triple int int (float 1e-9))))
+    "delivered after base latency" [ (1, 1, 0.5) ] !log
 
 let test_local_delivery_still_async () =
   (* src = dst delivers through the event queue (causal ordering), at the
      current time. *)
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim Net.Config.lan in
-  let order = ref [] in
-  Net.send net ~src:0 ~dst:0 ~bytes:64 (fun () -> order := "delivered" :: !order);
-  order := "after-send" :: !order;
+  let sim, net, log = logged () in
+  Net.dispatch net ~src:0 ~dst:0 (commit 1);
+  check "dispatch returns before delivery" 0 (List.length !log);
   Sim.run sim;
-  Alcotest.(check (list string)) "send returns before delivery"
-    [ "delivered"; "after-send" ] !order
+  Alcotest.(check (list (triple int int (float 1e-9))))
+    "delivered at the send time" [ (0, 1, 0.0) ] !log
 
 let test_counters () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim Net.Config.lan in
-  Net.send net ~src:0 ~dst:1 ~bytes:100 (fun () -> ());
-  Net.send net ~src:1 ~dst:2 ~bytes:200 (fun () -> ());
-  Net.send net ~src:2 ~dst:2 ~bytes:999 (fun () -> ());
+  let _, net, _ = logged () in
+  Net.dispatch net ~src:0 ~dst:1 (commit 1);
+  Net.dispatch net ~src:1 ~dst:2 big;
+  Net.dispatch net ~src:2 ~dst:2 big;
   check "remote messages" 2 (Net.messages net);
-  check "bytes" 300 (Net.bytes_sent net);
-  Net.reset_counters net;
-  check "reset" 0 (Net.messages net)
+  check "bytes" (Msg.size (commit 1) + Msg.size big) (Net.bytes_sent net);
+  Alcotest.(check (list (pair string int))) "per-kind sends"
+    [ ("commit", 1); ("wfg_reply", 1) ]
+    (List.map
+       (fun r -> (Msg.Kind.to_string r.Net.t_kind, r.Net.t_sent))
+       (Net.traffic net))
 
 let test_fifo_per_link () =
   (* Messages of the same size on the same link arrive in send order. *)
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim Net.Config.lan in
-  let log = ref [] in
+  let sim, net, log = logged () in
   for i = 1 to 5 do
-    Net.send net ~src:0 ~dst:1 ~bytes:64 (fun () -> log := i :: !log)
+    Net.dispatch net ~src:0 ~dst:1 (commit i)
   done;
   Sim.run sim;
-  Alcotest.(check (list int)) "in order" [ 5; 4; 3; 2; 1 ] !log
+  Alcotest.(check (list int)) "in order" [ 5; 4; 3; 2; 1 ]
+    (List.map (fun (_, txn, _) -> txn) !log)
 
 let test_bigger_messages_slower () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim
-      { Net.Config.lan with base_latency_ms = 0.1; per_kb_ms = 1.0 } in
-  let log = ref [] in
-  Net.send net ~src:0 ~dst:1 ~bytes:4096 (fun () -> log := "big" :: !log);
-  Net.send net ~src:0 ~dst:1 ~bytes:64 (fun () -> log := "small" :: !log);
+  let sim, net, log =
+    logged ~config:{ Net.Config.lan with base_latency_ms = 0.1; per_kb_ms = 1.0 } ()
+  in
+  checkb "big is big" true (Msg.size big > 1024);
+  Net.dispatch net ~src:0 ~dst:1 big;
+  Net.dispatch net ~src:0 ~dst:1 (commit 1);
   Sim.run sim;
-  Alcotest.(check (list string)) "small overtakes big" [ "big"; "small" ] !log;
-  checkb "both arrived" true (List.length !log = 2)
+  Alcotest.(check (list int)) "small overtakes big" [ -1; 1 ]
+    (List.map (fun (_, txn, _) -> txn) !log)
 
 let test_profiles () =
   let sim = Sim.create () in
@@ -81,38 +97,33 @@ let test_profiles () =
     (Net.latency custom ~src:0 ~dst:1 ~bytes:0 < 2.0)
 
 let test_drop_pct () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim { Net.Config.lan with drop_pct = 50; seed = 3 } in
-  let delivered = ref 0 in
-  for _ = 1 to 200 do
-    Net.send net ~src:0 ~dst:1 ~bytes:64 ~channel:Net.Unreliable (fun () -> incr delivered)
+  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 50; seed = 3 } () in
+  for i = 1 to 200 do
+    Net.dispatch net ~src:0 ~dst:1 ~channel:Net.Unreliable (commit i)
   done;
   Sim.run sim;
+  let delivered = List.length !log in
   check "sent counter includes drops" 200 (Net.messages net);
-  check "drops + deliveries = sends" 200 (!delivered + Net.dropped net);
+  check "drops + deliveries = sends" 200 (delivered + Net.dropped net);
   checkb "roughly half dropped" true (Net.dropped net > 50 && Net.dropped net < 150)
 
 let test_reliable_exempt_from_loss () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim { Net.Config.lan with drop_pct = 100; seed = 3 } in
-  let delivered = ref 0 in
-  for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 ~bytes:64 (fun () -> incr delivered)
+  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 100; seed = 3 } () in
+  for i = 1 to 20 do
+    Net.dispatch net ~src:0 ~dst:1 (commit i)
   done;
-  for _ = 1 to 20 do
-    Net.send net ~src:0 ~dst:1 ~bytes:64 ~channel:Net.Unreliable (fun () -> incr delivered)
+  for i = 21 to 40 do
+    Net.dispatch net ~src:0 ~dst:1 ~channel:Net.Unreliable (commit i)
   done;
   Sim.run sim;
-  check "reliable all delivered, unreliable none" 20 !delivered;
+  check "reliable all delivered, unreliable none" 20 (List.length !log);
   check "20 dropped" 20 (Net.dropped net)
 
 let test_local_never_dropped () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim { Net.Config.lan with drop_pct = 100; seed = 3 } in
-  let delivered = ref 0 in
-  Net.send net ~src:1 ~dst:1 ~bytes:64 ~channel:Net.Unreliable (fun () -> incr delivered);
+  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 100; seed = 3 } () in
+  Net.dispatch net ~src:1 ~dst:1 ~channel:Net.Unreliable (commit 1);
   Sim.run sim;
-  check "local exempt" 1 !delivered
+  check "local exempt" 1 (List.length !log)
 
 let test_invalid_drop_pct () =
   let sim = Sim.create () in

@@ -1,5 +1,5 @@
-(* Tests for the discrete-event simulator: ordering, determinism,
-   cancellation, periodic processes. *)
+(* Tests for the discrete-event simulator: ordering, determinism, the
+   chooser hook, periodic processes. *)
 
 module Sim = Dtx_sim.Sim
 
@@ -54,135 +54,99 @@ let test_schedule_at_past_clamps () =
   Sim.run sim;
   checkf "clamped to now" 5.0 !fired_at
 
-let test_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let id = Sim.schedule sim ~delay:1.0 (fun () -> fired := true) in
-  Sim.cancel sim id;
-  Sim.run sim;
-  checkb "cancelled event did not fire" false !fired;
-  (* Cancelling twice or after drain is harmless. *)
-  Sim.cancel sim id
+(* Scripts checked against a sorted-list model of the (time, seq) dispatch
+   order: event [i] fires at its delay, and every event whose index is a
+   multiple of 7 schedules a follow-up 1 ms later. *)
+let script_arb =
+  QCheck.(list_of_size Gen.(1 -- 200) (float_bound_exclusive 50.0))
 
-let test_cancel_no_leak () =
-  (* Regression: a cancel aimed at an already-fired (or never-firing) event
-     used to park its id in the cancelled table forever. *)
+(* Run a script, logging (label, clock) per fired event; follow-ups are
+   labelled [1000 + i]. *)
+let run_script ?chooser script =
   let sim = Sim.create () in
-  let id = Sim.schedule sim ~delay:1.0 (fun () -> ()) in
+  let log = ref [] in
+  List.iteri
+    (fun i d ->
+      ignore
+        (Sim.schedule sim ~delay:d (fun () ->
+             log := (i, Sim.now sim) :: !log;
+             if i mod 7 = 0 then
+               ignore
+                 (Sim.schedule sim ~delay:1.0 (fun () ->
+                      log := (1000 + i, Sim.now sim) :: !log)))))
+    script;
+  Sim.set_chooser sim chooser;
   Sim.run sim;
-  Sim.cancel sim id;
-  (* fired: no-op, nothing retained *)
-  check "no backlog after cancelling fired event" 0 (Sim.cancelled_backlog sim);
-  let foreign =
-    let other = Sim.create () in
-    let last = ref None in
-    for _ = 1 to 5 do
-      last := Some (Sim.schedule other ~delay:1.0 (fun () -> ()))
-    done;
-    Option.get !last
+  (!log, Sim.pending sim)
+
+(* The model: pending (time, seq, label) triples, kept sorted. *)
+let model script =
+  let next_seq = ref (List.length script) in
+  let rec drain pending acc =
+    match pending with
+    | [] -> acc
+    | (time, _, label) :: rest ->
+      let rest =
+        if label < 1000 && label mod 7 = 0 then begin
+          let seq = !next_seq in
+          incr next_seq;
+          List.merge compare [ (time +. 1.0, seq, 1000 + label) ] rest
+        end
+        else rest
+      in
+      drain rest ((label, time) :: acc)
   in
-  Sim.cancel sim foreign;
-  (* id unknown to this simulator: no-op, nothing retained *)
-  check "no backlog after cancelling unknown id" 0 (Sim.cancelled_backlog sim);
-  let id2 = Sim.schedule sim ~delay:1.0 (fun () -> Alcotest.fail "cancelled") in
-  Sim.cancel sim id2;
-  check "one pending cancellation" 1 (Sim.cancelled_backlog sim);
-  Sim.cancel sim id2;
-  (* double cancel counted once *)
-  check "double cancel counted once" 1 (Sim.cancelled_backlog sim);
-  Sim.run sim;
-  check "backlog drained with the queue" 0 (Sim.cancelled_backlog sim)
+  drain (List.sort compare (List.mapi (fun i d -> (d, i, i)) script)) []
 
-let test_compaction () =
-  (* Mass cancellation must not leave garbage parked until the clock catches
-     up: once >= 64 cancellations are pending and they outnumber half the
-     queue, the queue is rebuilt without them. *)
-  let sim = Sim.create () in
-  let fired = ref 0 in
-  let ids =
-    List.init 200 (fun i ->
-        Sim.schedule sim ~delay:(float_of_int (i + 1)) (fun () -> incr fired))
-  in
-  List.iteri (fun i id -> if i < 150 then Sim.cancel sim id) ids;
-  (* The 101st cancel trips 2*101 > 200 and compacts to zero backlog; the
-     trailing 49 sit below the 64-cancellation floor. *)
-  checkb "compaction ran" true (Sim.cancelled_backlog sim < 64);
-  check "leftover below floor" 49 (Sim.cancelled_backlog sim);
-  check "live events remain" 99 (Sim.pending sim);
-  Sim.run sim;
-  check "only uncancelled fired" 50 !fired;
-  check "backlog drained" 0 (Sim.cancelled_backlog sim);
-  check "queue empty" 0 (Sim.pending sim)
-
-(* Schedule/cancel scripts checked against a sorted-list model of the
-   (time, seq) dispatch order. Every event whose index is a multiple of 7
-   schedules a follow-up, and the cancellations (two in three events) push
-   long scripts past the 64-cancellation compaction floor; the model also
-   tracks the backlog/pending bookkeeping that compaction resets. *)
 let prop_model_order =
   QCheck.Test.make ~name:"calendar queue matches sorted model" ~count:100
-    QCheck.(
-      list_of_size Gen.(1 -- 200)
-        (pair (float_bound_exclusive 50.0)
-           (make Gen.(frequencyl [ (1, false); (2, true) ]))))
-    (fun script ->
-      let sim = Sim.create () in
-      let log = ref [] in
-      let ids =
-        List.mapi
-          (fun i (d, _) ->
-            Sim.schedule sim ~delay:d (fun () ->
-                log := (i, Sim.now sim) :: !log;
-                if i mod 7 = 0 then
-                  ignore
-                    (Sim.schedule sim ~delay:1.0 (fun () ->
-                         log := (1000 + i, Sim.now sim) :: !log))))
-          script
-      in
-      List.iter2
-        (fun id (_, cancel) -> if cancel then Sim.cancel sim id)
-        ids script;
-      (* Bookkeeping model: cancelled events stay live until compaction
-         drops the whole backlog at once. *)
-      let live = ref (List.length script) and backlog = ref 0 in
-      List.iter
-        (fun (_, cancel) ->
-          if cancel then begin
-            incr backlog;
-            if !backlog >= 64 && !backlog * 2 > !live then begin
-              live := !live - !backlog;
-              backlog := 0
-            end
-          end)
-        script;
-      let bookkeeping =
-        Sim.pending sim = !live && Sim.cancelled_backlog sim = !backlog
-      in
-      Sim.run sim;
-      (* Dispatch model: pending (time, seq, label) triples, kept sorted. *)
-      let next_seq = ref (List.length script) in
-      let rec drain pending acc =
-        match pending with
-        | [] -> acc
-        | (time, _, label) :: rest ->
-          let rest =
-            if label < 1000 && label mod 7 = 0 then begin
-              let seq = !next_seq in
-              incr next_seq;
-              List.merge compare [ (time +. 1.0, seq, 1000 + label) ] rest
-            end
-            else rest
-          in
-          drain rest ((label, time) :: acc)
-      in
-      let initial =
-        List.mapi (fun i (d, cancel) -> if cancel then [] else [ (d, i, i) ])
-          script
-        |> List.concat |> List.sort compare
-      in
-      bookkeeping && !log = drain initial []
-      && Sim.pending sim = 0
-      && Sim.cancelled_backlog sim = 0)
+    script_arb (fun script -> run_script script = (model script, 0))
+
+(* A chooser that always takes the head of the (time, seq)-sorted
+   candidates is the no-chooser dispatch order, clock included. *)
+let prop_chooser_first =
+  QCheck.Test.make ~name:"chooser picking the first candidate = no chooser"
+    ~count:100 script_arb (fun script ->
+      run_script ~chooser:(fun cs -> (List.hd cs).Sim.c_seq) script
+      = run_script script)
+
+(* Taking the last candidate removes exactly that event: [pending] drops by
+   one per step, and the rest still fire in (time, seq) order once the
+   chooser is gone. *)
+let test_chooser_last () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let times = [ 3.0; 1.0; 2.0; 1.0; 3.0; 0.5; 2.0; 1.0 ] in
+  List.iteri
+    (fun i tm ->
+      ignore (Sim.schedule_at sim ~time:tm (fun () -> log := i :: !log)))
+    times;
+  let last cs = (List.nth cs (List.length cs - 1)).Sim.c_seq in
+  Sim.set_chooser sim (Some last);
+  for k = 1 to 3 do
+    checkb "step fires" true (Sim.step sim);
+    check "pending drops by one" (List.length times - k) (Sim.pending sim)
+  done;
+  Alcotest.(check (list int)) "latest (time, seq) first" [ 4; 0; 6 ]
+    (List.rev !log);
+  checkf "clock at the latest time" 3.0 (Sim.now sim);
+  log := [];
+  Sim.set_chooser sim None;
+  Sim.run sim;
+  Alcotest.(check (list int)) "the rest in (time, seq) order"
+    [ 5; 1; 3; 7; 2 ] (List.rev !log);
+  check "drained" 0 (Sim.pending sim)
+
+let test_chooser_non_pending () =
+  let sim = Sim.create () in
+  let fired = Sim.schedule sim ~delay:1.0 (fun () -> ()) in
+  Sim.run sim;
+  ignore (Sim.schedule sim ~delay:1.0 (fun () -> ()));
+  Sim.set_chooser sim (Some (fun _ -> fired));
+  Alcotest.check_raises "fired id"
+    (Invalid_argument "Sim.step: chooser picked a non-pending event")
+    (fun () -> ignore (Sim.step sim));
+  check "nothing removed" 1 (Sim.pending sim)
 
 let test_run_until () =
   let sim = Sim.create () in
@@ -255,15 +219,17 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
           Alcotest.test_case "schedule_at clamps" `Quick test_schedule_at_past_clamps;
-          Alcotest.test_case "cancel" `Quick test_cancel;
-          Alcotest.test_case "cancel leaks nothing" `Quick test_cancel_no_leak;
-          Alcotest.test_case "mass-cancel compaction" `Quick test_compaction;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "max events" `Quick test_max_events;
           Alcotest.test_case "step" `Quick test_step ] );
+      ( "chooser",
+        [ Alcotest.test_case "last candidate" `Quick test_chooser_last;
+          Alcotest.test_case "non-pending id" `Quick test_chooser_non_pending
+        ] );
       ( "periodic",
         [ Alcotest.test_case "every" `Quick test_every;
           Alcotest.test_case "every with start" `Quick test_every_start_offset ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_deterministic;
-          QCheck_alcotest.to_alcotest prop_model_order ] ) ]
+          QCheck_alcotest.to_alcotest prop_model_order;
+          QCheck_alcotest.to_alcotest prop_chooser_first ] ) ]

@@ -113,7 +113,7 @@ let test_calqueue_ordering () =
     [ (1.0, 1); (1.0, 3); (3.0, 4); (4.0, 2); (5.0, 0) ]
     (drain [])
 
-let test_calqueue_peek_filter () =
+let test_calqueue_peek_remove () =
   let q = cq_create () in
   for i = 0 to 99 do
     Calqueue.push q (float_of_int (i mod 10), i)
@@ -122,13 +122,24 @@ let test_calqueue_peek_filter () =
   Alcotest.(check (option (pair (float 0.0) int)))
     "peek min" (Some (0.0, 0)) (Calqueue.peek q);
   check "peek does not pop" 100 (Calqueue.length q);
-  Calqueue.filter_in_place (fun (_, s) -> s mod 2 = 0) q;
-  check "filtered" 50 (Calqueue.length q);
+  (* every third seq: a few from each timestamp's group *)
+  for i = 0 to 99 do
+    if i mod 3 = 1 then Calqueue.remove q (float_of_int (i mod 10), i)
+  done;
+  check "removed" 67 (Calqueue.length q);
   Alcotest.(check (option (pair (float 0.0) int)))
-    "min survives filter" (Some (0.0, 0)) (Calqueue.peek q);
-  Calqueue.clear q;
-  check "cleared" 0 (Calqueue.length q);
-  Alcotest.(check bool) "empty" true (Calqueue.is_empty q)
+    "min survives removal" (Some (0.0, 0)) (Calqueue.peek q);
+  Alcotest.check_raises "absent element"
+    (Invalid_argument "Calqueue.remove: element not queued") (fun () ->
+      Calqueue.remove q (1.0, 1));
+  let rec drain acc =
+    match Calqueue.pop q with Some (_, s) -> drain (s :: acc) | None -> List.rev acc
+  in
+  Alcotest.(check (list int)) "the rest in (time, seq) order"
+    (List.sort
+       (fun a b -> compare (a mod 10, a) (b mod 10, b))
+       (List.filter (fun i -> i mod 3 <> 1) (List.init 100 Fun.id)))
+    (drain [])
 
 (* The property that lets the simulator swap queues without a trace diff:
    any interleaving of pushes and pops drains in exactly the heap's
@@ -160,6 +171,28 @@ let prop_calqueue_matches_heap =
         | a, b -> a = b && drain ()
       in
       !ok && drain ())
+
+(* In-place removal anywhere in the queue (the chooser's out-of-order
+   fire) leaves the survivors draining in (time, seq) order, across the
+   same sparse times and resize churn as the heap differential; whole-ms
+   offsets make removals hit shared-timestamp groups. *)
+let prop_calqueue_remove =
+  QCheck.Test.make ~name:"calendar queue remove keeps the rest ordered"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(1 -- 120)
+        (pair (oneofl [ 0.0; 0.5; 1.0; 3.0; 1e3; 1e7 ]) (int_bound 20)))
+    (fun ops ->
+      let q = cq_create () in
+      let xs =
+        List.mapi (fun i (base, ms) -> (base +. float_of_int ms, i)) ops
+      in
+      List.iter (Calqueue.push q) xs;
+      List.iter (fun (t, i) -> if i mod 3 = 1 then Calqueue.remove q (t, i)) xs;
+      let rec drain acc =
+        match Calqueue.pop q with Some x -> drain (x :: acc) | None -> List.rev acc
+      in
+      drain [] = List.sort compare (List.filter (fun (_, i) -> i mod 3 <> 1) xs))
 
 (* --- Rng ---------------------------------------------------------------- *)
 
@@ -311,8 +344,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorts ] );
       ( "calqueue",
         [ Alcotest.test_case "ordering" `Quick test_calqueue_ordering;
-          Alcotest.test_case "peek/filter/clear" `Quick test_calqueue_peek_filter;
-          QCheck_alcotest.to_alcotest prop_calqueue_matches_heap ] );
+          Alcotest.test_case "peek/remove" `Quick test_calqueue_peek_remove;
+          QCheck_alcotest.to_alcotest prop_calqueue_matches_heap;
+          QCheck_alcotest.to_alcotest prop_calqueue_remove ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
