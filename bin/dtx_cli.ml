@@ -250,8 +250,8 @@ let policy_conv =
 let workload_cmd =
   let clients = Arg.(value & opt Protocol_arg.count 50 & info [ "clients" ] ~doc:"Number of clients.") in
   let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
-  let txns = Arg.(value & opt int 5 & info [ "txns" ] ~doc:"Transactions per client.") in
-  let ops = Arg.(value & opt int 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
+  let txns = Arg.(value & opt Protocol_arg.count 5 & info [ "txns" ] ~doc:"Transactions per client.") in
+  let ops = Arg.(value & opt Protocol_arg.count 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 40.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
@@ -291,8 +291,8 @@ let workload_cmd =
 let scale_cmd =
   let clients = Arg.(value & opt Protocol_arg.count 10_000 & info [ "clients" ] ~doc:"Number of clients.") in
   let sites = Arg.(value & opt Protocol_arg.count 1000 & info [ "sites" ] ~doc:"Number of sites.") in
-  let txns = Arg.(value & opt int 1 & info [ "txns" ] ~doc:"Transactions per client.") in
-  let ops = Arg.(value & opt int 3 & info [ "ops" ] ~doc:"Operations per transaction.") in
+  let txns = Arg.(value & opt Protocol_arg.count 1 & info [ "txns" ] ~doc:"Transactions per client.") in
+  let ops = Arg.(value & opt Protocol_arg.count 3 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 10.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
@@ -354,8 +354,8 @@ let analyze_cmd =
   in
   let clients = Arg.(value & opt Protocol_arg.count 12 & info [ "clients" ] ~doc:"Number of clients.") in
   let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
-  let txns = Arg.(value & opt int 4 & info [ "txns" ] ~doc:"Transactions per client.") in
-  let ops = Arg.(value & opt int 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
+  let txns = Arg.(value & opt Protocol_arg.count 4 & info [ "txns" ] ~doc:"Transactions per client.") in
+  let ops = Arg.(value & opt Protocol_arg.count 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 30 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 4.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let smoke =
@@ -363,7 +363,7 @@ let analyze_cmd =
            ~doc:"Tiny single-seed configuration (the make-check gate).")
   in
   let ring =
-    Arg.(value & opt int 256 & info [ "ring" ]
+    Arg.(value & opt Protocol_arg.count 256 & info [ "ring" ]
            ~doc:"Trace ring-buffer capacity (violation suffix length).")
   in
   let run seeds clients sites txns ops upd mb smoke ring protocols =
@@ -444,11 +444,11 @@ let chaos_cmd =
   in
   let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
   let clients = Arg.(value & opt Protocol_arg.count 6 & info [ "clients" ] ~doc:"Number of clients.") in
-  let txns = Arg.(value & opt int 10 & info [ "txns" ] ~doc:"Transactions per client.") in
-  let ops = Arg.(value & opt int 4 & info [ "ops" ] ~doc:"Operations per transaction.") in
+  let txns = Arg.(value & opt Protocol_arg.count 10 & info [ "txns" ] ~doc:"Transactions per client.") in
+  let ops = Arg.(value & opt Protocol_arg.count 4 & info [ "ops" ] ~doc:"Operations per transaction.") in
   let upd = Arg.(value & opt int 40 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let horizon =
-    Arg.(value & opt float 160.0 & info [ "horizon" ] ~docv:"MS"
+    Arg.(value & opt Protocol_arg.positive_ms 160.0 & info [ "horizon" ] ~docv:"MS"
            ~doc:"Fault-plan horizon in virtual ms; keep it inside the \
                  fault-free makespan so the scheduled faults actually \
                  overlap the run. Generated faults all self-heal inside \
@@ -465,7 +465,7 @@ let chaos_cmd =
            ~doc:"Print each fault plan before running it.")
   in
   let ring =
-    Arg.(value & opt int 256 & info [ "ring" ]
+    Arg.(value & opt Protocol_arg.count 256 & info [ "ring" ]
            ~doc:"Trace ring-buffer capacity (violation suffix length).")
   in
   let run plans first_seed sites clients txns ops upd horizon smoke show_plans
@@ -600,7 +600,7 @@ let explore_cmd =
                ~doc:"Explored + pruned schedule budget.")
   in
   let ring =
-    Arg.(value & opt int Explore.default_config.Explore.ring
+    Arg.(value & opt Protocol_arg.count Explore.default_config.Explore.ring
            & info [ "ring" ]
                ~doc:"Per-replay trace ring-buffer capacity.")
   in

@@ -21,6 +21,16 @@ let count =
         | Error _ as e -> e),
       Format.pp_print_int )
 
+let positive_ms =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.float s with
+        | Ok ms when Float.is_finite ms && ms > 0.0 -> Ok ms
+        | Ok _ ->
+          Error (`Msg (Printf.sprintf "%s is not a positive duration in ms" s))
+        | Error _ as e -> e),
+      Format.pp_print_float )
+
 let mb =
   Arg.conv
     ( (fun s ->

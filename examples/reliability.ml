@@ -16,6 +16,8 @@ module P = Dtx_xpath.Parser
 module Eval = Dtx_xpath.Eval
 module Protocol = Dtx_protocol.Protocol
 module Allocation = Dtx_frag.Allocation
+module Fault_plan = Dtx_fault.Fault_plan
+module Injector = Dtx_fault.Injector
 
 let ledger_text =
   {|<ledger><account><id>a1</id><balance>100</balance></account>
@@ -29,7 +31,7 @@ let replica cluster site =
 let fresh_cluster ?(commit = Cluster.Two_phase) ?(policy = Dtx.Site.Detection)
     ?(drop_pct = 0) () =
   let sim = Sim.create () in
-  let net = Net.of_config ~sim Net.Config.(lan |> with_drop_pct drop_pct |> with_seed 5) in
+  let net = Net.of_config ~sim Net.Config.lan in
   let ledger = Dtx_xml.Parser.parse ~name:"ledger" ledger_text in
   let config =
     { (Cluster.default_config ()) with
@@ -43,6 +45,9 @@ let fresh_cluster ?(commit = Cluster.Two_phase) ?(policy = Dtx.Site.Detection)
       ~placements:[ { Allocation.doc = ledger; sites = [ 0; 1 ] } ]
   in
   Cluster.shutdown_when_idle cluster;
+  (* Loss is a fault plan: an always-on drop of unreliable traffic. *)
+  if drop_pct > 0 then
+    ignore (Injector.install cluster (Fault_plan.lossy ~seed:5 ~drop_pct));
   (sim, net, cluster)
 
 let deposit i = Printf.sprintf "<entry><id>d%d</id><amount>%d</amount></entry>" i (10 * i)

@@ -12,7 +12,7 @@ type config = {
   protocol : Protocol.kind;
   cost : Cost.t;
   deadlock_period_ms : float;
-  storage : [ `Memory | `Filesystem of string | `Paged of string ];
+  storage : [ `Memory | `Filesystem of string ];
   commit : commit_protocol;
   deadlock_policy : Site.deadlock_policy;
   op_timeout_ms : float option;
@@ -200,11 +200,6 @@ let create ~sim ~net ~n_sites config ~placements =
       | `Memory -> Storage.memory ()
       | `Filesystem dir ->
         Storage.filesystem ~dir:(Filename.concat dir (Printf.sprintf "site%d" i))
-      | `Paged dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        Storage.paged
-          ~path:(Filename.concat dir (Printf.sprintf "site%d.dtxp" i))
-          ()
     in
     Site.create ~id:i ~protocol_kind:config.protocol
       ~deadlock_policy:config.deadlock_policy ~storage ~docs:(site_docs i) ()
@@ -298,16 +293,6 @@ let attach_tracer t (f : tracer) =
       let id = p.Participant.site.Site.id in
       p.Participant.tracer <-
         Some (fun ev -> f ~time:(Sim.now t.sim) (Tr_part { site = id; ev })))
-    t.participants
-
-let detach_tracer t =
-  Sim.set_tracer t.sim None;
-  Net.set_tracer t.net None;
-  Coordinator.set_tracer t.coord None;
-  Array.iter
-    (fun (site : Site.t) -> Dtx_locks.Table.set_tracer site.Site.table None)
-    t.sites;
-  Array.iter (fun (p : Participant.ctx) -> p.Participant.tracer <- None)
     t.participants
 
 let enable_history t =

@@ -39,11 +39,9 @@ type config = {
   cost : Cost.t;
   deadlock_period_ms : float;
       (** period of the Algorithm-4 detector (paper: "periodically") *)
-  storage : [ `Memory | `Filesystem of string | `Paged of string ];
-      (** DataManager backend per site: in-memory (the default), one XML
-          file per document, or the paged single-file store with a bounded
-          buffer pool (the future-work "not everything in main memory"
-          backend) *)
+  storage : [ `Memory | `Filesystem of string ];
+      (** DataManager backend per site: in-memory (the default) or one XML
+          file per document under [dir/site<i>] *)
   commit : commit_protocol;
   deadlock_policy : Site.deadlock_policy;
       (** {!Site.Detection} (the paper), or wait-die / wound-wait
@@ -51,8 +49,9 @@ type config = {
   op_timeout_ms : float option;
       (** abort a transaction whose in-flight operation got no participant
           reply within this delay — the recovery knob for lossy links
-          (operation traffic is sent unreliably when the {!Dtx_net.Net} has
-          a [drop_pct]); [None] (default) disables timeouts *)
+          (operation traffic rides {!Dtx_net.Net.Unreliable}, which a
+          fault-plan link fault may drop); [None] (default) disables
+          timeouts *)
   retransmit_ms : float option;
       (** arm coordinator retransmission (exponential backoff, base this
           many ms) of unreliably-shipped operations and of severed
@@ -184,7 +183,7 @@ val restart_site : t -> site:int -> unit
     The analyzer ({!Dtx_check.Checker}) consumes five trace streams —
     simulator ticks, network dispatch, coordinator phase transitions, lock
     tables, participant events. {!attach_tracer} installs all five sinks in
-    one call; {!detach_tracer} removes them. *)
+    one call. *)
 
 type trace_event =
   | Tr_lock of { site : int; ev : Dtx_locks.Table.event }
@@ -203,5 +202,3 @@ val attach_tracer : t -> tracer -> unit
 (** Install [f] as the sink of all five trace streams. Events arrive in the
     causal order the cluster produced them; a later call replaces the
     earlier sink. *)
-
-val detach_tracer : t -> unit

@@ -12,10 +12,3 @@ let default =
     sched_ms = 0.05;
     persist_node_ms = 0.001;
     result_bytes_per_node = 64 }
-
-let scaled ?(factor = 1.0) t =
-  { t with
-    lock_request_ms = t.lock_request_ms *. factor;
-    node_touch_ms = t.node_touch_ms *. factor;
-    sched_ms = t.sched_ms *. factor;
-    persist_node_ms = t.persist_node_ms *. factor }

@@ -22,6 +22,3 @@ type t = {
 }
 
 val default : t
-
-val scaled : ?factor:float -> t -> t
-(** Multiply all time constants by [factor] (sensitivity analyses). *)

@@ -102,5 +102,3 @@ let validate t ~txn =
       else Ok ())
 
 let remove t ~txn = Hashtbl.remove t.active txn
-
-let active_count t = Hashtbl.length t.active

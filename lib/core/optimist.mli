@@ -62,5 +62,3 @@ val validate : t -> txn:int -> (unit, string) result
 val remove : t -> txn:int -> unit
 (** Drop the transaction from the active set (at finalize, whatever the
     outcome). *)
-
-val active_count : t -> int

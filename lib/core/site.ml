@@ -83,8 +83,6 @@ let create ~id ~protocol_kind ?(deadlock_policy = Detection) ~storage ~docs () =
     undo_sink = None;
     wal = Wal.create () }
 
-let has_doc t name = Protocol.doc t.protocol name <> None
-
 let note_txn_op t ~txn ~op_index =
   match Hashtbl.find_opt t.txn_ops txn with
   | Some l -> l := op_index :: !l

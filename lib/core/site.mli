@@ -160,9 +160,6 @@ val finish_txn : t -> txn:int -> commit:bool -> waiter list
     release all its locks, drop it from the wait-for graph and return the
     waiters to wake (Algs. 5/6 participant side). *)
 
-val txn_docs_touched : t -> txn:int -> string list
-(** Documents this transaction updated at this site. *)
-
 val txn_redo : t -> txn:int -> (string * string) list
 (** The redo list a [Wal.Prepared] record carries: this transaction's
     update operations at this site, oldest first, as
@@ -176,8 +173,6 @@ val replay_redo : t -> (string * string) list -> (string list, string) result
 val txn_touched_total : t -> txn:int -> int
 (** Total document nodes this transaction wrote at this site (sizes the
     DataManager's commit write-back cost). *)
-
-val has_doc : t -> string -> bool
 
 val wfg_snapshot : t -> Dtx_locks.Wfg.t
 (** Copy of the local wait-for graph (what the detector ships around). *)

@@ -10,9 +10,6 @@ type entry =
   | Committed of { txn : int; time : float }
   | Aborted of { txn : int; time : float }
 
-let entry_txn = function
-  | Prepared { txn; _ } | Committed { txn; _ } | Aborted { txn; _ } -> txn
-
 type t = { log : entry Vec.t }
 
 let create () = { log = Vec.create () }

@@ -31,8 +31,6 @@ type entry =
   | Committed of { txn : int; time : float }
   | Aborted of { txn : int; time : float }
 
-val entry_txn : entry -> int
-
 type t
 
 val create : unit -> t

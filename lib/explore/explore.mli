@@ -118,19 +118,15 @@ val explore : ?config:config -> scenario -> outcome
     schedules. Every replay builds a fresh simulator/net/cluster, so calls
     are independent and deterministic. *)
 
-val random_run :
-  ?jitter_ms:float -> scenario -> config -> seed:int -> Dtx_check.Checker.violation list
-(** One chaos-style baseline run: no chooser, instead a seeded fault plan
-    adds uniform [0, jitter_ms) delivery offsets to remote messages (local
-    deliveries keep their fixed zero delay — exactly why jitter alone cannot
-    reorder a local shipment past a remote round trip, and why a skipped
-    release of the last transaction hides from this baseline). Default
-    jitter 2.0 ms. *)
-
 val random_runs :
   ?jitter_ms:float ->
   scenario ->
   config ->
   seeds:int list ->
   (int * Dtx_check.Checker.violation list) list
-(** [random_run] per seed, pairing each seed with its violations. *)
+(** One chaos-style baseline run per seed, paired with its violations: no
+    chooser, instead a seeded fault plan adds uniform [0, jitter_ms)
+    delivery offsets to remote messages (local deliveries keep their fixed
+    zero delay — exactly why jitter alone cannot reorder a local shipment
+    past a remote round trip, and why a skipped release of the last
+    transaction hides from this baseline). Default jitter 2.0 ms. *)

@@ -47,6 +47,17 @@ type t = {
 let empty ~seed ~horizon_ms =
   { seed; horizon_ms; link_faults = []; partitions = []; crashes = [] }
 
+let lossy ~seed ~drop_pct =
+  { (empty ~seed ~horizon_ms:infinity) with
+    link_faults =
+      [ { lf_window = { from_ms = 0.0; until_ms = infinity };
+          lf_link = any_link;
+          lf_kinds = [];
+          lf_drop_pct = drop_pct;
+          lf_dup_pct = 0;
+          lf_delay_ms = 0.0;
+          lf_jitter_ms = 0.0 } ] }
+
 let crashed t ~time ~site =
   List.exists
     (fun c ->

@@ -21,8 +21,6 @@ type link = { l_src : int option; l_dst : int option }
 
 val any_link : link
 
-val link_matches : link -> src:int -> dst:int -> bool
-
 (** One unreliability episode on matching links. Drop and duplication
     apply only to {!Dtx_net.Net.Unreliable} traffic (the reliable channel
     models a retransmitting transport); delay and jitter apply to both —
@@ -61,6 +59,11 @@ type t = {
 }
 
 val empty : seed:int -> horizon_ms:float -> t
+
+val lossy : seed:int -> drop_pct:int -> t
+(** A plan whose only fault is an always-on loss of [drop_pct] percent of
+    the {!Dtx_net.Net.Unreliable} traffic on every link: the lossy network
+    the timeout and retransmission machinery recovers from. *)
 
 val crashed : t -> time:float -> site:int -> bool
 (** Is [site] down at [time] under this plan's crash schedule? *)

@@ -57,11 +57,3 @@ let docs_at c site =
 let all_docs c =
   Hashtbl.fold (fun name _ acc -> name :: acc) c.by_doc [] |> List.sort compare
 
-let pp_catalog ppf c =
-  let sites =
-    Hashtbl.fold (fun s _ acc -> s :: acc) c.by_site [] |> List.sort compare
-  in
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "s%d: %s@." s (String.concat ", " (docs_at c s)))
-    sites

@@ -34,6 +34,3 @@ val docs_at : catalog -> int -> string list
 (** Documents stored at a site, sorted. *)
 
 val all_docs : catalog -> string list
-
-val pp_catalog : Format.formatter -> catalog -> unit
-(** A Fig.-8-style "site → contents" listing. *)

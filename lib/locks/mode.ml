@@ -49,8 +49,6 @@ let mask_compatible m ~held_mask = conflict_masks.(index m) land held_mask = 0
 
 let is_intention = function IS | IX -> true | _ -> false
 
-let is_shared = function IS | SI | SA | SB | ST -> true | _ -> false
-
 let is_exclusive = function X | XT | IX -> true | _ -> false
 
 let intention_for = function

@@ -50,9 +50,6 @@ val mask_compatible : t -> held_mask:int -> bool
 val is_intention : t -> bool
 (** [IS] and [IX]. *)
 
-val is_shared : t -> bool
-(** [SI], [SA], [SB], [ST] (and [IS]). *)
-
 val is_exclusive : t -> bool
 (** [X] and [XT] (and [IX] counts as exclusive-intent). *)
 

@@ -1,31 +1,16 @@
 module Sim = Dtx_sim.Sim
-module Rng = Dtx_util.Rng
 
 module Config = struct
   type t = {
     base_latency_ms : float;
     per_kb_ms : float;
-    drop_pct : int;
-    seed : int;
   }
 
-  let lan = { base_latency_ms = 0.35; per_kb_ms = 0.08; drop_pct = 0; seed = 1 }
+  let lan = { base_latency_ms = 0.35; per_kb_ms = 0.08 }
 
-  let wan = { lan with base_latency_ms = 20.0; per_kb_ms = 0.8 }
+  let wan = { base_latency_ms = 20.0; per_kb_ms = 0.8 }
 
   let with_base_latency_ms v t = { t with base_latency_ms = v }
-
-  let with_per_kb_ms v t = { t with per_kb_ms = v }
-
-  let with_drop_pct v t =
-    if v < 0 || v > 100 then invalid_arg "Net.Config.with_drop_pct";
-    { t with drop_pct = v }
-
-  let with_seed v t = { t with seed = v }
-
-  let pp ppf t =
-    Format.fprintf ppf "latency=%.2fms +%.2fms/KiB drop=%d%% seed=%d"
-      t.base_latency_ms t.per_kb_ms t.drop_pct t.seed
 end
 
 type channel = Reliable | Unreliable
@@ -56,8 +41,6 @@ type t = {
   sim : Sim.t;
   base_latency_ms : float;
   per_kb_ms : float;
-  drop_pct : int;
-  rng : Rng.t;
   mutable messages : int;
   mutable bytes : int;
   mutable dropped : int;
@@ -75,13 +58,9 @@ type t = {
 }
 
 let of_config ~sim (c : Config.t) =
-  if c.Config.drop_pct < 0 || c.Config.drop_pct > 100 then
-    invalid_arg "Net.of_config: drop_pct";
   { sim;
     base_latency_ms = c.Config.base_latency_ms;
     per_kb_ms = c.Config.per_kb_ms;
-    drop_pct = c.Config.drop_pct;
-    rng = Rng.create c.Config.seed;
     messages = 0;
     bytes = 0;
     dropped = 0;
@@ -102,11 +81,6 @@ let set_fault t f = t.fault <- f
 let latency t ~src ~dst ~bytes =
   if src = dst then 0.0
   else t.base_latency_ms +. (t.per_kb_ms *. (float_of_int bytes /. 1024.0))
-
-(* The seeded lossy-link decision ([drop_pct]); fault-plan drops are decided
-   by the installed {!fault}, not here. *)
-let lossy_drop t ~src ~dst channel =
-  src <> dst && channel = Unreliable && t.drop_pct > 0 && Rng.pct t.rng t.drop_pct
 
 let dispatch t ~src ~dst ?(channel = Reliable) msg =
   let h =
@@ -133,55 +107,52 @@ let dispatch t ~src ~dst ?(channel = Reliable) msg =
     | Some tr -> tr ~src ~dst Drop msg
     | None -> ()
   in
-  if lossy_drop t ~src ~dst channel then count_drop ()
-  else begin
-    let deliver () =
-      let k =
-        match t.tracer with
-        | None -> fun () -> h ~src ~dst msg
-        | Some tr ->
-          fun () ->
-            tr ~src ~dst Deliver msg;
-            h ~src ~dst msg
-      in
-      match t.fault with
-      | None -> k
-      | Some f ->
-        (* Re-check the link when the copy actually arrives: a partition
-           (or crash) that formed in flight swallows it. *)
+  let deliver () =
+    let k =
+      match t.tracer with
+      | None -> fun () -> h ~src ~dst msg
+      | Some tr ->
         fun () ->
-          if f.f_deliverable ~time:(Sim.now t.sim) ~src ~dst then k ()
-          else count_drop ()
-    in
-    let schedule_delivery delay =
-      let body = deliver () in
-      let id = ref None in
-      let seq =
-        Sim.schedule t.sim ~delay (fun () ->
-            (match !id with
-             | Some seq -> Hashtbl.remove t.pending seq
-             | None -> ());
-            body ())
-      in
-      id := Some seq;
-      Hashtbl.replace t.pending seq { d_src = src; d_dst = dst; d_msg = msg }
+          tr ~src ~dst Deliver msg;
+          h ~src ~dst msg
     in
     match t.fault with
-    | None -> schedule_delivery delay
-    | Some f -> (
-      (* Local deliveries never cross a link, so send-time faults do not
-         apply; the delivery-time check still guards a crashed site. *)
-      let offsets =
-        if src = dst then [ 0.0 ]
-        else f.f_offsets ~time:(Sim.now t.sim) ~src ~dst channel msg
-      in
-      match offsets with
-      | [] -> count_drop ()
-      | offsets ->
-        List.iter
-          (fun off -> schedule_delivery (delay +. Float.max 0.0 off))
-          offsets)
-  end
+    | None -> k
+    | Some f ->
+      (* Re-check the link when the copy actually arrives: a partition
+         (or crash) that formed in flight swallows it. *)
+      fun () ->
+        if f.f_deliverable ~time:(Sim.now t.sim) ~src ~dst then k ()
+        else count_drop ()
+  in
+  let schedule_delivery delay =
+    let body = deliver () in
+    let id = ref None in
+    let seq =
+      Sim.schedule t.sim ~delay (fun () ->
+          (match !id with
+           | Some seq -> Hashtbl.remove t.pending seq
+           | None -> ());
+          body ())
+    in
+    id := Some seq;
+    Hashtbl.replace t.pending seq { d_src = src; d_dst = dst; d_msg = msg }
+  in
+  match t.fault with
+  | None -> schedule_delivery delay
+  | Some f -> (
+    (* Local deliveries never cross a link, so send-time faults do not
+       apply; the delivery-time check still guards a crashed site. *)
+    let offsets =
+      if src = dst then [ 0.0 ]
+      else f.f_offsets ~time:(Sim.now t.sim) ~src ~dst channel msg
+    in
+    match offsets with
+    | [] -> count_drop ()
+    | offsets ->
+      List.iter
+        (fun off -> schedule_delivery (delay +. Float.max 0.0 off))
+        offsets)
 
 let pending_deliveries t =
   Hashtbl.fold (fun seq d acc -> (seq, d) :: acc) t.pending []

@@ -21,17 +21,11 @@
 
 type t
 
-(** How a network is configured. [Config.t] collapses what used to be five
-    overlapping optional arguments of {!create} into one value with
-    functional updaters. *)
+(** How a network is configured: link latency and bandwidth. *)
 module Config : sig
   type t = {
     base_latency_ms : float;  (** one-way latency floor *)
     per_kb_ms : float;  (** serialization cost per KiB *)
-    drop_pct : int;
-        (** probability (percent) that an {!Unreliable} remote message is
-            lost; 0 disables the lossy link *)
-    seed : int;  (** seed of the deterministic loss stream *)
   }
 
   val lan : t
@@ -43,28 +37,19 @@ module Config : sig
       ~20 ms one-way latency, ~10 Mbit/s. *)
 
   val with_base_latency_ms : float -> t -> t
-
-  val with_per_kb_ms : float -> t -> t
-
-  val with_drop_pct : int -> t -> t
-  (** @raise Invalid_argument outside 0..100. *)
-
-  val with_seed : int -> t -> t
-
-  val pp : Format.formatter -> t -> unit
 end
 
 val of_config : sim:Dtx_sim.Sim.t -> Config.t -> t
 (** The constructor. [Net.of_config ~sim Net.Config.lan] is the common
-    case; derive variants with the [Config.with_*] updaters.
-    @raise Invalid_argument if [drop_pct] is outside 0..100. *)
+    case; derive variants with {!Config.with_base_latency_ms} or a record
+    update. The network itself is lossless: message loss comes only from
+    an installed {!fault}. *)
 
 (** Which transport a message rides. [Reliable] models a retransmitting
-    channel: exempt from the {!Config.t} lossy link and from fault-plan
-    drop/duplicate decisions (partitions and crashes still cut it —
-    no transport survives a severed link). [Unreliable] is raw datagram
-    service: the coordinator ships operations on it and recovers via
-    timeout + retransmission. *)
+    channel: exempt from fault-plan drop/duplicate decisions (partitions
+    and crashes still cut it — no transport survives a severed link).
+    [Unreliable] is raw datagram service: the coordinator ships operations
+    on it and recovers via timeout + retransmission. *)
 type channel = Reliable | Unreliable
 
 type handler = src:int -> dst:int -> Msg.t -> unit
@@ -76,7 +61,7 @@ val set_handler : t -> handler -> unit
 
 type dir =
   | Send  (** [dispatch] accepted the message (before any loss decision) *)
-  | Drop  (** the lossy link, fault plan, or a mid-flight partition discarded it *)
+  | Drop  (** the fault plan or a mid-flight partition discarded it *)
   | Deliver  (** about to run the handler, at delivery time *)
 
 type tracer = src:int -> dst:int -> dir -> Msg.t -> unit
@@ -139,8 +124,8 @@ val messages : t -> int
 (** Remote messages sent so far. *)
 
 val dropped : t -> int
-(** Unreliable messages lost to [drop_pct], plus fault-plan and
-    mid-flight-partition drops. *)
+(** Messages lost to the installed {!fault}: fault-plan drops at send time
+    plus mid-flight-partition drops at delivery time. *)
 
 val bytes_sent : t -> int
 

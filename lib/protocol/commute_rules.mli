@@ -34,8 +34,6 @@
 
 type verdict = Commutes | Conflicts | Unknown
 
-val verdict_to_string : verdict -> string
-
 val independent : verdict -> bool
 (** [true] only for [Commutes] — [Unknown] conservatively counts as a
     conflict. This is the independence relation the schedule explorer's

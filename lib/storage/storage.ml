@@ -2,35 +2,17 @@ module Doc = Dtx_xml.Doc
 module Printer = Dtx_xml.Printer
 module Xml_parser = Dtx_xml.Parser
 
-type backend =
+type t =
   | Memory of (string, Doc.t) Hashtbl.t
   | Filesystem of string  (* directory *)
-  | Paged_store of Paged.t
 
-type t = {
-  backend : backend;
-  mutable loads : int;
-  mutable stores : int;
-}
-
-let memory () = { backend = Memory (Hashtbl.create 16); loads = 0; stores = 0 }
+let memory () = Memory (Hashtbl.create 16)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
-
-let paged ~path ?pool_pages () =
-  { backend = Paged_store (Paged.open_store ~path ?pool_pages ());
-    loads = 0;
-    stores = 0 }
-
-let backend_name t =
-  match t.backend with
-  | Memory _ -> "memory"
-  | Filesystem _ -> "filesystem"
-  | Paged_store _ -> "paged"
 
 (* Document names may contain characters unfit for file names; hex-escape
    everything outside [A-Za-z0-9._-]. *)
@@ -45,46 +27,48 @@ let encode_name name =
     name;
   Buffer.contents buf
 
+(* The inverse of [encode_name] on the names it produces; [None] for any
+   other file name (a stray file in the store's directory). *)
 let decode_name enc =
-  let buf = Buffer.create (String.length enc) in
   let n = String.length enc in
+  let buf = Buffer.create n in
   let rec loop i =
-    if i < n then
-      if enc.[i] = '%' && i + 2 < n then begin
-        let code = int_of_string ("0x" ^ String.sub enc (i + 1) 2) in
+    if i >= n then Some (Buffer.contents buf)
+    else if enc.[i] <> '%' then begin
+      Buffer.add_char buf enc.[i];
+      loop (i + 1)
+    end
+    else if i + 2 < n then
+      match int_of_string_opt ("0x" ^ String.sub enc (i + 1) 2) with
+      | Some code ->
         Buffer.add_char buf (Char.chr code);
         loop (i + 3)
-      end
-      else begin
-        Buffer.add_char buf enc.[i];
-        loop (i + 1)
-      end
+      | _ -> None
+    else None
   in
-  loop 0;
-  Buffer.contents buf
+  match loop 0 with
+  | Some name when encode_name name = enc -> Some name
+  | _ -> None
 
 let path_of dir name = Filename.concat dir (encode_name name ^ ".xml")
 
 let filesystem ~dir =
   mkdir_p dir;
-  { backend = Filesystem dir; loads = 0; stores = 0 }
+  Filesystem dir
 
 let list t =
-  match t.backend with
+  match t with
   | Memory tbl -> Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-  | Paged_store p -> Paged.list p
   | Filesystem dir ->
     Sys.readdir dir |> Array.to_list
     |> List.filter_map (fun f ->
            if Filename.check_suffix f ".xml" then
-             Some (decode_name (Filename.chop_suffix f ".xml"))
+             decode_name (Filename.chop_suffix f ".xml")
            else None)
     |> List.sort compare
 
 let load t name =
-  t.loads <- t.loads + 1;
-  match t.backend with
-  | Paged_store p -> Paged.load p name
+  match t with
   | Memory tbl -> (
     match Hashtbl.find_opt tbl name with
     | Some doc -> Some (Doc.clone doc)
@@ -101,9 +85,7 @@ let load t name =
     else None
 
 let store t doc =
-  t.stores <- t.stores + 1;
-  match t.backend with
-  | Paged_store p -> Paged.store p doc
+  match t with
   | Memory tbl -> Hashtbl.replace tbl doc.Doc.name (Doc.clone doc)
   | Filesystem dir ->
     let file = path_of dir doc.Doc.name in
@@ -112,19 +94,13 @@ let store t doc =
     close_out oc
 
 let remove t name =
-  match t.backend with
-  | Paged_store p -> Paged.remove p name
+  match t with
   | Memory tbl -> Hashtbl.remove tbl name
   | Filesystem dir ->
     let file = path_of dir name in
     if Sys.file_exists file then Sys.remove file
 
 let mem t name =
-  match t.backend with
+  match t with
   | Memory tbl -> Hashtbl.mem tbl name
-  | Paged_store p -> Paged.mem p name
   | Filesystem dir -> Sys.file_exists (path_of dir name)
-
-let load_count t = t.loads
-
-let store_count t = t.stores

@@ -23,15 +23,10 @@ val filesystem : dir:string -> t
     safe file names, so any name works.
     @raise Sys_error if [dir] cannot be created. *)
 
-val paged : path:string -> ?pool_pages:int -> unit -> t
-(** A single-file paged store with an LRU buffer pool (see {!Paged}): the
-    future-work backend that keeps only [pool_pages] × 4 KiB resident. *)
-
-val backend_name : t -> string
-(** ["memory"], ["filesystem"] or ["paged"]. *)
-
 val list : t -> string list
-(** Stored document names, sorted. *)
+(** Stored document names, sorted. A filesystem store lists only the files
+    whose names it could have written itself; other files in its directory
+    are ignored. *)
 
 val load : t -> string -> Dtx_xml.Doc.t option
 (** [load s name] is a private copy of the stored document. *)
@@ -42,8 +37,3 @@ val store : t -> Dtx_xml.Doc.t -> unit
 val remove : t -> string -> unit
 
 val mem : t -> string -> bool
-
-val load_count : t -> int
-(** Number of [load]s served (DataManager traffic statistics). *)
-
-val store_count : t -> int

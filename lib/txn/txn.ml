@@ -31,7 +31,6 @@ type t = {
   mutable finished_at : float;
   mutable wait_started : float;
   mutable waited_total : float;
-  mutable restarts : int;
 }
 
 let create ~id ~client ~coordinator ops =
@@ -45,7 +44,7 @@ let create ~id ~client ~coordinator ops =
   in
   { id; client; coordinator; ops; status = Active; next_op = 0;
     submitted_at = 0.0; finished_at = 0.0; wait_started = 0.0;
-    waited_total = 0.0; restarts = 0 }
+    waited_total = 0.0 }
 
 let next_operation t =
   if t.next_op < Array.length t.ops then Some t.ops.(t.next_op) else None
@@ -65,20 +64,6 @@ let docs t =
   Array.to_list t.ops
   |> List.map (fun r -> r.doc)
   |> List.sort_uniq compare
-
-let with_id t id =
-  let ops =
-    Array.map
-      (fun r -> { r with executed = false; executed_sites = [] })
-      t.ops
-  in
-  { t with id; ops; status = Active; next_op = 0; submitted_at = 0.0;
-    finished_at = 0.0; wait_started = 0.0; waited_total = 0.0 }
-
-let reset_for_restart t =
-  let t' = with_id t t.id in
-  t'.restarts <- t.restarts + 1;
-  t'
 
 let response_time t = t.finished_at -. t.submitted_at
 

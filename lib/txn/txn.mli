@@ -39,7 +39,6 @@ type t = {
   mutable finished_at : float;
   mutable wait_started : float;
   mutable waited_total : float;  (** accumulated lock-wait time *)
-  mutable restarts : int;  (** times re-submitted after a deadlock abort *)
 }
 
 val create :
@@ -63,14 +62,6 @@ val is_update : t -> bool
 
 val docs : t -> string list
 (** Distinct documents touched, sorted. *)
-
-val reset_for_restart : t -> t
-(** A fresh copy (same ops, same client/coordinator) with a {e new id} for
-    client-level resubmission after an abort; increments [restarts]. The new
-    id must be supplied by the caller via {!val:with_id}. *)
-
-val with_id : t -> int -> t
-(** Copy with a different id and all execution state cleared. *)
 
 val response_time : t -> float
 (** [finished_at - submitted_at]; meaningful once finished. *)

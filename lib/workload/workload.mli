@@ -31,7 +31,7 @@ type params = {
   cost : Dtx.Cost.t;
   net_config : Dtx_net.Net.Config.t;
       (** [Config.lan] (the paper's testbed) or [Config.wan] (its
-          future-work environment), with optional lossy-link settings *)
+          future-work environment) *)
   two_phase_commit : bool;
       (** use the 2PC extension instead of the paper's one-phase commit *)
   deadlock_policy : Dtx.Site.deadlock_policy;

@@ -61,9 +61,6 @@ let detach n =
 
 let children n = Vec.to_list n.children
 
-let nth_child n i =
-  if i < 0 || i >= Vec.length n.children then None else Some (Vec.get n.children i)
-
 let find_child n ~label = Vec.find_opt (fun c -> c.label = label) n.children
 
 let attribute n name =

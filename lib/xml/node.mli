@@ -42,8 +42,6 @@ val child_index : t -> int
 val children : t -> t list
 (** Children in document order. *)
 
-val nth_child : t -> int -> t option
-
 val find_child : t -> label:string -> t option
 (** First child with the given label. *)
 

@@ -413,13 +413,13 @@ let test_two_phase_crash_recovery () =
   check "recovered state holds exactly the committed inserts" s.Cluster.committed
     persons
 
-let test_cluster_on_paged_storage () =
-  (* The whole mechanism over the paged DataManager backend: commits persist
-     into the page file, a crash loses memory, recovery reloads from the
-     pages. *)
+let test_cluster_on_filesystem_storage () =
+  (* The whole mechanism over the on-disk DataManager backend: commits write
+     back into the site's directory, a crash loses memory, recovery reloads
+     from the files. *)
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dtx_paged_cluster_%d" (Unix.getpid ()))
+      (Printf.sprintf "dtx_fs_cluster_%d" (Unix.getpid ()))
   in
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   let sim = Sim.create () in
@@ -427,7 +427,7 @@ let test_cluster_on_paged_storage () =
   let d1 = Xml_parser.parse ~name:"d1" d1_text in
   let config =
     { (Cluster.default_config ()) with
-      storage = `Paged dir;
+      storage = `Filesystem dir;
       deadlock_period_ms = 5.0 }
   in
   let cluster =
@@ -442,7 +442,14 @@ let test_cluster_on_paged_storage () =
           { target = P.parse "/people"; pos = Op.Into; fragment = "<person><id>pg</id></person>" } ) ]
     (fun txn -> st := Some txn.Txn.status);
   Sim.run sim;
-  checkb "committed over paged storage" true (!st = Some Txn.Committed);
+  checkb "committed over filesystem storage" true (!st = Some Txn.Committed);
+  (match
+     Storage.load (Storage.filesystem ~dir:(Filename.concat dir "site1")) "d1"
+   with
+   | Some d ->
+     check "commit wrote the insert back to disk" 1
+       (List.length (Eval.select d (P.parse "//person[id = \"pg\"]")))
+   | None -> Alcotest.fail "d1 missing from site 1's directory");
   Cluster.crash_site cluster ~site:1;
   Cluster.restart_site cluster ~site:1;
   Sim.run sim;
@@ -554,7 +561,7 @@ let test_lossy_network_all_txns_terminate () =
   (* With 10% operation-message loss and timeouts, every transaction still
      reaches a final state, locks never leak, and replicas stay equal. *)
   let sim = Sim.create () in
-  let net = Net.of_config ~sim { Net.Config.lan with drop_pct = 10; seed = 99 } in
+  let net = Net.of_config ~sim Net.Config.lan in
   let d1 = Xml_parser.parse ~name:"d1" d1_text in
   let placements = [ { Allocation.doc = d1; sites = [ 0; 1 ] } ] in
   let config =
@@ -564,6 +571,9 @@ let test_lossy_network_all_txns_terminate () =
   in
   let cluster = Cluster.create ~sim ~net ~n_sites:2 config ~placements in
   Cluster.shutdown_when_idle cluster;
+  ignore
+    (Dtx_fault.Injector.install cluster
+       (Dtx_fault.Fault_plan.lossy ~seed:99 ~drop_pct:10));
   let finished = ref 0 in
   for i = 0 to 19 do
     Cluster.submit cluster ~client:i ~coordinator:(i mod 2)
@@ -594,10 +604,13 @@ let test_lossy_network_all_txns_terminate () =
        (replica cluster ~site:1 ~doc:"d1"))
 
 let test_reliable_network_drops_nothing () =
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim { Net.Config.lan with drop_pct = 0 } in
-  ignore sim;
-  check "no drops configured" 0 (Net.dropped net)
+  let sim, net, cluster = make_cluster () in
+  submit cluster ~coordinator:0
+    [ ("d1", q "/people/person") ]
+    (fun _ -> ());
+  Sim.run sim;
+  checkb "traffic flowed" true (Net.messages net > 0);
+  check "nothing dropped without a fault plan" 0 (Net.dropped net)
 
 (* A lossy link can also deliver late duplicates. Re-delivering end-protocol
    and wake messages for an already-finished transaction must change
@@ -783,8 +796,8 @@ let () =
         [ Alcotest.test_case "site failure" `Quick test_site_failure_aborts;
           Alcotest.test_case "heal" `Quick test_site_failure_heals;
           Alcotest.test_case "crash + recovery" `Quick test_crash_recovery_cycle;
-          Alcotest.test_case "paged storage end-to-end" `Quick
-            test_cluster_on_paged_storage ] );
+          Alcotest.test_case "filesystem storage end-to-end" `Quick
+            test_cluster_on_filesystem_storage ] );
       ( "deadlock policies",
         [ Alcotest.test_case "wait-die" `Quick test_wait_die;
           Alcotest.test_case "wound-wait" `Quick test_wound_wait;

@@ -77,6 +77,47 @@ let test_random_plans_self_heal () =
   checkb "deterministic" true (a = b)
 
 (* ------------------------------------------------------------------ *)
+(* Link loss: which traffic a drop fault may touch                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Twenty messages sent [src -> dst] on [channel] across a two-site
+   cluster under an always-on 100% drop plan, with the cluster's message
+   router replaced by a counter: (delivered, dropped). *)
+let under_total_loss ~src ~dst channel =
+  let sim = Sim.create () in
+  let net = Net.of_config ~sim Net.Config.lan in
+  let doc = Dtx_xml.Parser.parse ~name:"d" "<r/>" in
+  let cluster =
+    Cluster.create ~sim ~net ~n_sites:2
+      (Cluster.default_config ())
+      ~placements:[ { Dtx_frag.Allocation.doc; sites = [ 0; 1 ] } ]
+  in
+  Cluster.shutdown_when_idle cluster;
+  ignore (Injector.install cluster (Fault_plan.lossy ~seed:3 ~drop_pct:100));
+  let delivered = ref 0 in
+  Net.set_handler net (fun ~src:_ ~dst:_ _ -> incr delivered);
+  for txn = 1 to 20 do
+    Net.dispatch net ~src ~dst ~channel (Msg.Commit { txn })
+  done;
+  Sim.run sim;
+  (!delivered, Net.dropped net)
+
+let test_total_loss_drops_remote_unreliable () =
+  let delivered, dropped = under_total_loss ~src:0 ~dst:1 Net.Unreliable in
+  check_int "none delivered" 0 delivered;
+  check_int "every one dropped" 20 dropped
+
+let test_total_loss_spares_reliable () =
+  let delivered, dropped = under_total_loss ~src:0 ~dst:1 Net.Reliable in
+  check_int "all delivered" 20 delivered;
+  check_int "none dropped" 0 dropped
+
+let test_total_loss_spares_local () =
+  let delivered, dropped = under_total_loss ~src:1 ~dst:1 Net.Unreliable in
+  check_int "all delivered" 20 delivered;
+  check_int "none dropped" 0 dropped
+
+(* ------------------------------------------------------------------ *)
 (* Shared harness: one checked workload run under a fault plan         *)
 (* ------------------------------------------------------------------ *)
 
@@ -235,6 +276,13 @@ let () =
         [ Alcotest.test_case "windows and cuts" `Quick test_windows_and_cuts;
           Alcotest.test_case "random plans self-heal" `Quick
             test_random_plans_self_heal ] );
+      ( "link loss",
+        [ Alcotest.test_case "drops remote unreliable" `Quick
+            test_total_loss_drops_remote_unreliable;
+          Alcotest.test_case "spares reliable traffic" `Quick
+            test_total_loss_spares_reliable;
+          Alcotest.test_case "spares local traffic" `Quick
+            test_total_loss_spares_local ] );
       ( "dup+reorder",
         [ QCheck_alcotest.to_alcotest prop_dup_reorder_invariants_hold ] );
       ( "crash recovery",

@@ -1,5 +1,6 @@
-(* Tests for the simulated network: latency model, ordering, counters and
-   loss, all through [Net.dispatch] and a registered handler. *)
+(* Tests for the simulated network: latency model, ordering and counters,
+   all through [Net.dispatch] and a registered handler. Message loss is a
+   fault-plan concern, tested with the injector in [test_fault]. *)
 
 module Sim = Dtx_sim.Sim
 module Net = Dtx_net.Net
@@ -12,7 +13,7 @@ let checkb = Alcotest.(check bool)
 let test_latency_model () =
   let sim = Sim.create () in
   let net = Net.of_config ~sim
-      { Net.Config.lan with base_latency_ms = 1.0; per_kb_ms = 2.0 } in
+      { Net.Config.base_latency_ms = 1.0; per_kb_ms = 2.0 } in
   checkf "local free" 0.0 (Net.latency net ~src:1 ~dst:1 ~bytes:4096);
   checkf "base only" 1.0 (Net.latency net ~src:0 ~dst:1 ~bytes:0);
   checkf "base + size" 3.0 (Net.latency net ~src:0 ~dst:1 ~bytes:1024)
@@ -34,7 +35,7 @@ let big = Msg.Wfg_reply { edges = List.init 500 (fun i -> (i, i + 1)) }
 
 let test_delivery_time () =
   let sim, net, log =
-    logged ~config:{ Net.Config.lan with base_latency_ms = 0.5; per_kb_ms = 0.0 } ()
+    logged ~config:{ Net.Config.base_latency_ms = 0.5; per_kb_ms = 0.0 } ()
   in
   Net.dispatch net ~src:0 ~dst:1 (commit 1);
   Sim.run sim;
@@ -76,7 +77,7 @@ let test_fifo_per_link () =
 
 let test_bigger_messages_slower () =
   let sim, net, log =
-    logged ~config:{ Net.Config.lan with base_latency_ms = 0.1; per_kb_ms = 1.0 } ()
+    logged ~config:{ Net.Config.base_latency_ms = 0.1; per_kb_ms = 1.0 } ()
   in
   checkb "big is big" true (Msg.size big > 1024);
   Net.dispatch net ~src:0 ~dst:1 big;
@@ -96,40 +97,6 @@ let test_profiles () =
   checkb "override wins" true
     (Net.latency custom ~src:0 ~dst:1 ~bytes:0 < 2.0)
 
-let test_drop_pct () =
-  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 50; seed = 3 } () in
-  for i = 1 to 200 do
-    Net.dispatch net ~src:0 ~dst:1 ~channel:Net.Unreliable (commit i)
-  done;
-  Sim.run sim;
-  let delivered = List.length !log in
-  check "sent counter includes drops" 200 (Net.messages net);
-  check "drops + deliveries = sends" 200 (delivered + Net.dropped net);
-  checkb "roughly half dropped" true (Net.dropped net > 50 && Net.dropped net < 150)
-
-let test_reliable_exempt_from_loss () =
-  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 100; seed = 3 } () in
-  for i = 1 to 20 do
-    Net.dispatch net ~src:0 ~dst:1 (commit i)
-  done;
-  for i = 21 to 40 do
-    Net.dispatch net ~src:0 ~dst:1 ~channel:Net.Unreliable (commit i)
-  done;
-  Sim.run sim;
-  check "reliable all delivered, unreliable none" 20 (List.length !log);
-  check "20 dropped" 20 (Net.dropped net)
-
-let test_local_never_dropped () =
-  let sim, net, log = logged ~config:{ Net.Config.lan with drop_pct = 100; seed = 3 } () in
-  Net.dispatch net ~src:1 ~dst:1 ~channel:Net.Unreliable (commit 1);
-  Sim.run sim;
-  check "local exempt" 1 (List.length !log)
-
-let test_invalid_drop_pct () =
-  let sim = Sim.create () in
-  Alcotest.check_raises "out of range" (Invalid_argument "Net.of_config: drop_pct")
-    (fun () -> ignore (Net.of_config ~sim { Net.Config.lan with drop_pct = 101 }))
-
 let () =
   Alcotest.run "net"
     [ ( "net",
@@ -140,8 +107,4 @@ let () =
           Alcotest.test_case "fifo per link" `Quick test_fifo_per_link;
           Alcotest.test_case "size-dependent" `Quick test_bigger_messages_slower ] );
       ( "profiles+loss",
-        [ Alcotest.test_case "profiles" `Quick test_profiles;
-          Alcotest.test_case "drop pct" `Quick test_drop_pct;
-          Alcotest.test_case "reliable exempt" `Quick test_reliable_exempt_from_loss;
-          Alcotest.test_case "local exempt" `Quick test_local_never_dropped;
-          Alcotest.test_case "invalid drop" `Quick test_invalid_drop_pct ] ) ]
+        [ Alcotest.test_case "profiles" `Quick test_profiles ] ) ]

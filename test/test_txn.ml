@@ -48,27 +48,6 @@ let test_is_update () =
   in
   checkb "read-only" false (Txn.is_update ro)
 
-let test_with_id_resets () =
-  let t = Txn.create ~id:1 ~client:0 ~coordinator:0 (mk_ops ()) in
-  Txn.advance t;
-  t.Txn.status <- Txn.Aborted;
-  t.Txn.ops.(0).Txn.executed_sites <- [ 0; 1 ];
-  let t' = Txn.with_id t 9 in
-  check "new id" 9 t'.Txn.id;
-  checkb "active again" true (t'.Txn.status = Txn.Active);
-  check "back at op 0" 0 t'.Txn.next_op;
-  checkb "exec flags cleared" false t'.Txn.ops.(0).Txn.executed;
-  Alcotest.(check (list int)) "sites cleared" [] t'.Txn.ops.(0).Txn.executed_sites;
-  (* The original is untouched. *)
-  checkb "original still aborted" true (t.Txn.status = Txn.Aborted)
-
-let test_reset_for_restart_counts () =
-  let t = Txn.create ~id:1 ~client:0 ~coordinator:0 (mk_ops ()) in
-  let t' = Txn.reset_for_restart t in
-  check "restarts" 1 t'.Txn.restarts;
-  let t'' = Txn.reset_for_restart t' in
-  check "restarts again" 2 t''.Txn.restarts
-
 let test_response_time () =
   let t = Txn.create ~id:1 ~client:0 ~coordinator:0 (mk_ops ()) in
   t.Txn.submitted_at <- 10.0;
@@ -93,8 +72,6 @@ let () =
         [ Alcotest.test_case "create" `Quick test_create;
           Alcotest.test_case "op iteration" `Quick test_op_iteration;
           Alcotest.test_case "is_update" `Quick test_is_update;
-          Alcotest.test_case "with_id resets" `Quick test_with_id_resets;
-          Alcotest.test_case "restart counter" `Quick test_reset_for_restart_counts;
           Alcotest.test_case "response time" `Quick test_response_time;
           Alcotest.test_case "status strings" `Quick test_status_strings;
           Alcotest.test_case "empty txn" `Quick test_empty_txn ] ) ]
