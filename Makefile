@@ -5,8 +5,9 @@
 .PHONY: check build test bench bench-smoke analyze analyze-smoke chaos \
 	chaos-smoke explore explore-smoke cert cert-smoke clean
 
-check: build test bench-smoke analyze-smoke chaos-smoke explore-smoke \
-	cert-smoke
+# `dune runtest` already runs and diffs `analyze --smoke` and `chaos --smoke`
+# against test/*.expected, so their targets are not repeated here.
+check: build test bench-smoke explore-smoke cert-smoke
 
 build:
 	dune build
@@ -28,7 +29,8 @@ bench-smoke:
 analyze:
 	dune exec bin/dtx_cli.exe -- analyze
 
-# Tiny single-seed analyzer pass — part of `make check`.
+# Tiny single-seed analyzer pass (diffed against test/analyze_smoke.expected
+# under `dune runtest`).
 analyze-smoke:
 	dune exec bin/dtx_cli.exe -- analyze --smoke
 
@@ -38,7 +40,8 @@ analyze-smoke:
 chaos:
 	dune exec bin/dtx_cli.exe -- chaos
 
-# Reduced chaos matrix (3 plans, XDGL and XDGL+2PC) — part of `make check`.
+# Reduced chaos matrix (3 plans, XDGL and Commute, each one-phase and 2PC;
+# diffed against test/chaos_smoke.expected under `dune runtest`).
 chaos-smoke:
 	dune exec bin/dtx_cli.exe -- chaos --smoke
 

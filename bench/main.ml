@@ -100,7 +100,8 @@ let microbench_results ~smoke =
         (* Uncached XDGL derivation: every call re-walks DataGuide targets,
            ancestors and predicate paths. *)
         mk "xdgl-lock-derivation" (fun () ->
-            ignore (Dtx_protocol.Xdgl_rules.requests dg (Dtx_update.Op.Query q_pred)));
+            let module R = Dtx_protocol.Xdgl_rules in
+            ignore (R.requests (R.guide_view dg) (Dtx_update.Op.Query q_pred)));
         (* Same derivation through Protocol.lock_requests, which memoizes on
            the DataGuide version — steady-state cache hits. *)
         (let p = Protocol.create Protocol.xdgl in

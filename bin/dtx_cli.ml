@@ -252,11 +252,11 @@ let workload_cmd =
   let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt Protocol_arg.count 5 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt Protocol_arg.count 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
-  let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
+  let upd = Arg.(value & opt Protocol_arg.percent 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 40.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
   let total = Arg.(value & flag & info [ "total-replication" ] ~doc:"Replicate every document everywhere.") in
-  let retries = Arg.(value & opt int 0 & info [ "retries" ] ~doc:"Client resubmissions after abort.") in
+  let retries = Arg.(value & opt Protocol_arg.non_negative 0 & info [ "retries" ] ~doc:"Client resubmissions after abort.") in
   let two_phase = Arg.(value & flag & info [ "two-phase" ] ~doc:"Commit with the 2PC extension.") in
   let wan = Arg.(value & flag & info [ "wan" ] ~doc:"WAN link profile instead of LAN.") in
   let policy =
@@ -293,7 +293,7 @@ let scale_cmd =
   let sites = Arg.(value & opt Protocol_arg.count 1000 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt Protocol_arg.count 1 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt Protocol_arg.count 3 & info [ "ops" ] ~doc:"Operations per transaction.") in
-  let upd = Arg.(value & opt int 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
+  let upd = Arg.(value & opt Protocol_arg.percent 20 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 10.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.") in
   let no_timing =
@@ -349,14 +349,14 @@ module Lattice = Dtx_check.Lattice
 
 let analyze_cmd =
   let seeds =
-    Arg.(value & opt (list int) [ 7; 107 ] & info [ "seeds" ] ~docv:"SEEDS"
+    Arg.(value & opt Protocol_arg.seeds [ 7; 107 ] & info [ "seeds" ] ~docv:"SEEDS"
            ~doc:"Comma-separated workload seeds.")
   in
   let clients = Arg.(value & opt Protocol_arg.count 12 & info [ "clients" ] ~doc:"Number of clients.") in
   let sites = Arg.(value & opt Protocol_arg.count 4 & info [ "sites" ] ~doc:"Number of sites.") in
   let txns = Arg.(value & opt Protocol_arg.count 4 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt Protocol_arg.count 5 & info [ "ops" ] ~doc:"Operations per transaction.") in
-  let upd = Arg.(value & opt int 30 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
+  let upd = Arg.(value & opt Protocol_arg.percent 30 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let mb = Arg.(value & opt Protocol_arg.mb 4.0 & info [ "mb" ] ~doc:"Base size in paper-MB.") in
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
@@ -435,7 +435,7 @@ module Injector = Dtx_fault.Injector
 
 let chaos_cmd =
   let plans =
-    Arg.(value & opt int 20 & info [ "plans" ] ~docv:"N"
+    Arg.(value & opt Protocol_arg.count 20 & info [ "plans" ] ~docv:"N"
            ~doc:"Seeded fault plans to run under every configuration.")
   in
   let first_seed =
@@ -446,7 +446,7 @@ let chaos_cmd =
   let clients = Arg.(value & opt Protocol_arg.count 6 & info [ "clients" ] ~doc:"Number of clients.") in
   let txns = Arg.(value & opt Protocol_arg.count 10 & info [ "txns" ] ~doc:"Transactions per client.") in
   let ops = Arg.(value & opt Protocol_arg.count 4 & info [ "ops" ] ~doc:"Operations per transaction.") in
-  let upd = Arg.(value & opt int 40 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
+  let upd = Arg.(value & opt Protocol_arg.percent 40 & info [ "update-pct" ] ~doc:"Percent update transactions.") in
   let horizon =
     Arg.(value & opt Protocol_arg.positive_ms 160.0 & info [ "horizon" ] ~docv:"MS"
            ~doc:"Fault-plan horizon in virtual ms; keep it inside the \
@@ -581,7 +581,7 @@ let explore_cmd =
                  every delivery order (the reduction baseline).")
   in
   let random =
-    Arg.(value & opt int 0 & info [ "random" ] ~docv:"N"
+    Arg.(value & opt Protocol_arg.non_negative 0 & info [ "random" ] ~docv:"N"
            ~doc:"Also run $(docv) seeded random (bounded-jitter) schedules \
                  and report how many seeds find a violation.")
   in
@@ -595,7 +595,7 @@ let explore_cmd =
                  naive/DPOR schedule count is at least $(docv).")
   in
   let max_schedules =
-    Arg.(value & opt int Explore.default_config.Explore.max_schedules
+    Arg.(value & opt Protocol_arg.count Explore.default_config.Explore.max_schedules
            & info [ "max-schedules" ]
                ~doc:"Explored + pruned schedule budget.")
   in

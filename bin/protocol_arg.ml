@@ -12,14 +12,30 @@ module Generator = Dtx_xmark.Generator
    value ends in a usage error naming the option rather than an uncaught
    exception deep in the run. *)
 
-let count =
+let int_where ok what =
   Arg.conv
     ( (fun s ->
         match Arg.conv_parser Arg.int s with
-        | Ok n when n > 0 -> Ok n
-        | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive count" n))
+        | Ok n when ok n -> Ok n
+        | Ok n -> Error (`Msg (Printf.sprintf "%d is not %s" n what))
         | Error _ as e -> e),
       Format.pp_print_int )
+
+let count = int_where (fun n -> n > 0) "a positive count"
+let non_negative = int_where (fun n -> n >= 0) "a non-negative count"
+
+let percent =
+  int_where (fun n -> n >= 0 && n <= 100) "a percentage between 0 and 100"
+
+(* A sweep over an empty list would pass having checked nothing. *)
+let seeds =
+  let ints = Arg.list Arg.int in
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser ints s with
+        | Ok [] -> Error (`Msg "expected at least one seed")
+        | r -> r),
+      Arg.conv_printer ints )
 
 let positive_ms =
   Arg.conv
@@ -130,6 +146,9 @@ let parse_configs s =
                        (config_to_string c)))
              else Ok (cs @ [ c ]))
          (Ok [])
+    |> function
+    | Ok [] -> Error (`Msg "expected at least one protocol config")
+    | r -> r
 
 let configs_conv =
   Arg.conv

@@ -26,9 +26,7 @@
    each one sits in to reject it. *)
 
 module Ast = Dtx_xpath.Ast
-module Eval = Dtx_xpath.Eval
 module Doc = Dtx_xml.Doc
-module Node = Dtx_xml.Node
 module Xml_parser = Dtx_xml.Parser
 module Dg = Dtx_dataguide.Dataguide
 module Op = Dtx_update.Op
@@ -139,8 +137,7 @@ let conflicts ?(include_positional = true) acc1 acc2 =
 
 let pred_target_paths p =
   List.map
-    (fun ((prefix : Ast.path), (rel : Ast.path)) ->
-      { prefix with Ast.steps = prefix.Ast.steps @ rel.Ast.steps })
+    (fun (prefix, rel) -> Xdgl_rules.concat_path prefix rel)
     (Ast.predicate_paths p)
 
 let last_label (p : Ast.path) =
@@ -153,57 +150,19 @@ let frag_label fragment =
   | Some l -> l
   | None -> "#frag"
 
-(* A tree the oracle reads: how to name, select and walk its nodes, and
-   the two points where the guide and the instance oracles differ. *)
-type 'n view = {
-  id : 'n -> int;
-  select : Ast.path -> 'n list;
-  ancestors : 'n -> 'n list;
-  parent : 'n -> 'n option;
-  subtree : 'n -> 'n list;  (** descendants-or-self *)
-  renamed : 'n -> 'n list;  (** the nodes a RENAME of this one relabels *)
-  landing : ('n -> string -> 'n) option;
-      (** where content with a given label lands under a connect node; [None]
-          when new content has no pre-existing node to stand for it *)
-}
+(* The oracle reads the lock rules' tree views ([Xdgl_rules.guide_view],
+   [Xdgl_rules.instance_view]): guide nodes are label paths — conservative
+   (instances of one path are merged) and phantom-aware (insert targets
+   exist as guide nodes after warm-up); instance nodes are document nodes —
+   phantom-blind, matching what instance-granular protocols can lock, so
+   the connect node's child-list write carries an insert's conflict.  The
+   one oracle-only rule: a RENAME relabels a guide node's whole subtree
+   (every label path below it changes) but only the instance node itself.
+   A view's landing is what tells them apart. *)
+let renamed (v : _ Xdgl_rules.view) n =
+  match v.landing with Some _ -> v.subtree n | None -> [ n ]
 
-(* Guide-level view (XDGL family): nodes are DataGuide ids, i.e. one node
-   per label path — conservative (instances of one path are merged, so a
-   rename relabels the whole path subtree) and phantom-aware (insert
-   targets exist as guide nodes after warm-up). *)
-let guide_view dg =
-  {
-    id = (fun n -> n.Dg.dg_id);
-    select = Dg.match_path dg;
-    ancestors = Dg.ancestors;
-    parent = (fun n -> n.Dg.parent);
-    subtree = Dg.descendants_or_self;
-    renamed = Dg.descendants_or_self;
-    landing =
-      (* [ensure_path] is safe here: the oracle guide reached its shape
-         fixed point during the warm-up pass, so this only looks up. *)
-      Some
-        (fun connect label ->
-          Dg.ensure_path dg (Dg.label_path connect @ [ label ]));
-  }
-
-(* Instance-level view (Node2PL / taDOM / Doc2PL): nodes are document node
-   ids.  Phantom-blind by construction — an insert's new content has no
-   pre-existing document node — which matches what instance-granular
-   protocols can lock; the connect node's child-list write carries the
-   conflict instead. *)
-let instance_view doc =
-  {
-    id = (fun n -> n.Node.id);
-    select = Eval.select doc;
-    ancestors = Node.ancestors;
-    parent = (fun n -> n.Node.parent);
-    subtree = Node.descendant_or_self;
-    renamed = (fun n -> [ n ]);
-    landing = None;
-  }
-
-let accesses v op =
+let accesses (v : _ Xdgl_rules.view) op =
   let acc = ref [] in
   let add ?(positional = false) ~write n aspect =
     acc :=
@@ -270,7 +229,7 @@ let accesses v op =
   | Op.Rename { target; new_label } ->
     let matches = nav target in
     List.iter
-      (fun n -> List.iter (fun d -> add ~write:true d A_struct) (v.renamed n))
+      (fun n -> List.iter (fun d -> add ~write:true d A_struct) (renamed v n))
       matches;
     List.iter
       (fun par -> write_landing [ A_struct ] par new_label)
@@ -294,28 +253,17 @@ let accesses v op =
   !acc
 
 let build_guide_oracle ops =
-  let v = guide_view (Dg.build (parse_universe ())) in
+  let v = Xdgl_rules.guide_view (Dg.build (parse_universe ())) in
   (* Warm-up: drive the guide's insert/rename/transpose phantom nodes to
      their fixed point, so every access list is computed against one
-     consistent shape (mirrors Commute_rules.prepare). *)
+     consistent shape (mirrors Commute_rules.prepare) and the view's
+     [ensure_path] landing only looks up afterwards. *)
   Array.iter (fun (_, op) -> ignore (accesses v op)) ops;
   Array.map (fun (_, op) -> accesses v op) ops
 
 let build_instance_oracle ops =
-  let v = instance_view (parse_universe ()) in
+  let v = Xdgl_rules.instance_view (parse_universe ()) in
   Array.map (fun (_, op) -> accesses v op) ops
-
-(* ------------------------------------------------------------------ *)
-(* Lock-collision machinery                                            *)
-
-let lists_conflict compat fp1 fp2 =
-  List.exists
-    (fun (r1, m1) ->
-      List.exists
-        (fun (r2, m2) ->
-          Table.compare_resource r1 r2 = 0 && not (compat m1 m2))
-        fp2)
-    fp1
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
@@ -385,7 +333,7 @@ let weakened_verdict ops fps i j =
     Commute_rules.Commutes
   else
     match (fps.(i), fps.(j)) with
-    | Ok f1, Ok f2 when lists_conflict Mode.compatible f1 f2 ->
+    | Ok f1, Ok f2 when Table.lists_conflict ~compat:Mode.compatible f1 f2 ->
       Commute_rules.Conflicts
     | _ -> Commute_rules.Commutes
 
@@ -402,8 +350,7 @@ let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
     else if mutate = Some Weaken_commute then weakened_verdict ops fps
     else begin
       let cr =
-        Commute_rules.create ~protocol:kind
-          ~docs:[ (universe_name, universe_xml) ]
+        Commute_rules.create ~protocol:kind ~docs:[ parse_universe () ]
       in
       let prepared =
         Commute_rules.prepare cr
@@ -430,7 +377,7 @@ let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
           conflict
           && not (conflicts ~include_positional:false oracle.(i) oracle.(j))
         in
-        let collide = lists_conflict compat f1 f2 in
+        let collide = Table.lists_conflict ~compat f1 f2 in
         if conflict then incr conflicting else incr nonconflicting;
         if not is_commute then begin
           if conflict && not collide then
@@ -484,8 +431,8 @@ let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
             let late1 = if v = Commute_rules.Commutes then opt1 else f1
             and late2 = if v = Commute_rules.Commutes then opt2 else f2 in
             if
-              lists_conflict compat opt1 late2
-              || lists_conflict compat opt2 late1
+              Table.lists_conflict ~compat opt1 late2
+              || Table.lists_conflict ~compat opt2 late1
             then incr false_collisions
           end
         end

@@ -18,7 +18,7 @@ type t = {
 }
 
 let create ~protocol ~docs =
-  { analyzer = Cr.create_of_docs ~protocol ~docs;
+  { analyzer = Cr.create ~protocol ~docs;
     active = Hashtbl.create 64 }
 
 let admit t ~txn ~ops =

@@ -364,7 +364,9 @@ let explore ?(config = default_config) scen =
   let flat_ops = Array.of_list (List.concat_map snd (txn_ops scen)) in
   let commute =
     Commute.create ~protocol:cfg.protocol
-      ~docs:(List.map (fun (n, xml, _) -> (n, xml)) scen.sc_docs)
+      ~docs:
+        (List.map (fun (name, xml, _) -> Xml_parser.parse ~name xml)
+           scen.sc_docs)
   in
   let verdicts = Commute.matrix commute flat_ops in
   let unsound =

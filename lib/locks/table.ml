@@ -390,3 +390,10 @@ let clear t =
   Itbl.reset t.by_txn;
   t.grants <- 0;
   match t.tracer with Some tr -> tr Cleared | None -> ()
+
+let lists_conflict ~compat fp1 fp2 =
+  let rec collides r1 m1 = function
+    | [] -> false
+    | (r2, m2) :: rest -> (r1 = r2 && not (compat m1 m2)) || collides r1 m1 rest
+  in
+  List.exists (fun (r1, m1) -> collides r1 m1 fp2) fp1

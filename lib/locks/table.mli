@@ -48,6 +48,15 @@ val dedup_requests : (resource * Mode.t) list -> (resource * Mode.t) list
 (** Sort and deduplicate a request list via single-int (resource, mode) keys
     — the protocols' replacement for [List.sort_uniq compare] over records. *)
 
+val lists_conflict :
+  compat:(Mode.t -> Mode.t -> bool) ->
+  (resource * Mode.t) list ->
+  (resource * Mode.t) list ->
+  bool
+(** Do two lock footprints collide: some resource held in both under modes
+    [compat] rejects? The static analyses pass {!Mode.compatible}; a seeded
+    certifier fault passes a weakened matrix. *)
+
 type release_kind =
   | Undo  (** operation rollback: one reference-count decrement *)
   | End_of_txn  (** Strict 2PL end-of-transaction bulk release *)

@@ -1,10 +1,8 @@
 module Op = Dtx_update.Op
-module Ast = Dtx_xpath.Ast
 module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
 module Dg = Dtx_dataguide.Dataguide
 module Doc = Dtx_xml.Doc
-module Xml_parser = Dtx_xml.Parser
 
 type verdict = Commutes | Conflicts | Unknown
 
@@ -26,16 +24,9 @@ type t = {
   kind : Protocol.kind;
 }
 
-let create_of_docs ~protocol ~docs =
-  let proto = Protocol.create protocol in
-  List.iter (fun doc -> Protocol.add_doc proto (Doc.clone doc)) docs;
-  { proto; kind = protocol }
-
 let create ~protocol ~docs =
   let proto = Protocol.create protocol in
-  List.iter
-    (fun (name, xml) -> Protocol.add_doc proto (Xml_parser.parse ~name xml))
-    docs;
+  List.iter (fun doc -> Protocol.add_doc proto (Doc.clone doc)) docs;
   { proto; kind = protocol }
 
 let guide_version t doc =
@@ -79,26 +70,9 @@ let virtual_reads t ~doc op =
   match Protocol.dataguide t.proto doc with
   | None -> []
   | Some dg ->
-    List.concat_map
-      (fun p ->
-        List.concat_map
-          (fun (n : Dg.node) ->
-            (Table.resource dg.Dg.doc_name n.Dg.dg_id, Mode.ST)
-            :: List.map
-                 (fun (a : Dg.node) ->
-                   (Table.resource dg.Dg.doc_name a.Dg.dg_id, Mode.IS))
-                 (Dg.ancestors n))
-          (Dg.match_path dg (Ast.without_predicates p)))
-      (Op.paths op)
+    List.concat_map (Xdgl_rules.reads (Xdgl_rules.guide_view dg)) (Op.paths op)
 
-let lists_conflict fp1 fp2 =
-  List.exists
-    (fun (r1, m1) ->
-      List.exists
-        (fun (r2, m2) ->
-          Table.compare_resource r1 r2 = 0 && not (Mode.compatible m1 m2))
-        fp2)
-    fp1
+let lists_conflict = Table.lists_conflict ~compat:Mode.compatible
 
 (* Sibling-order sensitivity: two insertions (or transpose landings) whose
    shared-insert locks (SI/SA/SB — mutually compatible by design) meet on a

@@ -41,17 +41,10 @@ val independent : verdict -> bool
 
 type t
 
-val create :
-  protocol:Protocol.kind -> docs:(string * string) list -> t
-(** [create ~protocol ~docs] builds the analyzer over [(name, xml)]
-    documents. The XML is parsed into private replicas (the analysis
-    instance is never shared with a running cluster). *)
-
-val create_of_docs : protocol:Protocol.kind -> docs:Dtx_xml.Doc.t list -> t
-(** Like {!create} but over already-parsed documents, which are deep-cloned
-    into the analyzer (same node ids, private instance). This is what the
-    runtime coordinator uses to build its classifier from the cluster's
-    placement documents. *)
+val create : protocol:Protocol.kind -> docs:Dtx_xml.Doc.t list -> t
+(** [create ~protocol ~docs] builds the analyzer over private deep clones of
+    [docs] (same node ids; the analysis instance is never shared with a
+    running cluster, or with the caller). *)
 
 val guide_version : t -> string -> int
 (** Current {e shape} version of the analyzer's private DataGuide for a

@@ -27,9 +27,6 @@ let subtree_with_ancestors doc mode (n : Node.t) =
 let main_targets doc (p : Ast.path) =
   Eval.select doc (Ast.without_predicates p)
 
-let parent_or_self (n : Node.t) =
-  match n.Node.parent with Some p -> p | None -> n
-
 let requests doc (op : Op.t) =
   let retained, nav =
     match op with
@@ -37,11 +34,9 @@ let requests doc (op : Op.t) =
       ( List.concat_map (subtree_with_ancestors doc Mode.ST) (main_targets doc p),
         navigation_cost doc p )
     | Op.Insert { target; pos; _ } ->
-      let tnodes = main_targets doc target in
       let connects =
-        match pos with
-        | Op.Into -> tnodes
-        | Op.After | Op.Before -> List.map parent_or_self tnodes
+        Xdgl_rules.connects (Xdgl_rules.instance_view doc) pos
+          (Ast.without_predicates target)
       in
       ( List.concat_map (subtree_with_ancestors doc Mode.X) connects,
         navigation_cost doc target )

@@ -78,7 +78,7 @@ let xdgl_derive ~dg _d op =
   match dg with
   | None -> Error "XDGL: missing DataGuide"
   | Some dg ->
-    let requests = Xdgl_rules.requests dg op in
+    let requests = Xdgl_rules.requests (Xdgl_rules.guide_view dg) op in
     Ok (requests, List.length requests)
 
 let xdgl_value_derive ~dg d op =
@@ -89,7 +89,9 @@ let xdgl_value_derive ~dg d op =
     Ok (requests, List.length requests)
 
 let node2pl_derive ~dg:_ d op = Ok (Node2pl_rules.requests d op)
-let tadom_derive ~dg:_ d op = Ok (Tadom_rules.requests d op)
+let tadom_derive ~dg:_ d op =
+  let requests = Xdgl_rules.requests (Xdgl_rules.instance_view d) op in
+  Ok (requests, List.length requests)
 
 let doc2pl_derive ~dg:_ (d : Doc.t) op =
   (* One lock on the whole document: pseudo-node 0. *)

@@ -16,7 +16,8 @@
 
     Six protocols are built in:
     - {b XDGL} ({!xdgl}) — the paper's protocol: multi-granularity locks on
-      DataGuide nodes (see {!Xdgl_rules} for the per-operation rules).
+      DataGuide nodes: the rule table {!Xdgl_rules.requests} over
+      {!Xdgl_rules.guide_view}.
     - {b Node2PL} ({!node2pl}) — tree locks on {e document} nodes: an
       operation locks the whole subtree it touches, node by node, which is
       what the paper uses to stand in for related work ("locks in trees").
@@ -24,9 +25,14 @@
       for the entire document.
     - {b taDOM} ({!tadom}) — the future-work extension (§5): taDOM-style
       multi-granularity locks on document nodes with intention-locked
-      ancestor paths (see {!Tadom_rules}).
+      ancestor paths: the same rule table over
+      {!Xdgl_rules.instance_view}, where predicates select exactly and new
+      content has no landing node to lock (the mode mapping is in
+      {!Xdgl_rules}).
     - {b XDGL+VL} ({!xdgl_value}) — XDGL with the original paper's value
-      locks for predicates (see {!Xdgl_value_rules}).
+      locks for predicates: the rule table over the guide view for the
+      predicate-free operation, plus (node, value) locks (see
+      {!Xdgl_value_rules}).
     - {b Commute} ({!commute}) — optimistic commutativity over XDGL
       (Dekeyser et al., arXiv cs/0505074): per-site derivation is exactly
       XDGL's, but the coordinator skips or intention-downgrades locks for

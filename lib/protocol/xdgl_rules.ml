@@ -1,5 +1,8 @@
 module Dg = Dtx_dataguide.Dataguide
+module Node = Dtx_xml.Node
+module Doc = Dtx_xml.Doc
 module Ast = Dtx_xpath.Ast
+module Eval = Dtx_xpath.Eval
 module Op = Dtx_update.Op
 module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
@@ -18,93 +21,116 @@ let frag_root_label fragment =
     let e = stop start in
     if e = start then None else Some (String.sub fragment start (e - start))
 
-let res (dg : Dg.t) (n : Dg.node) = Table.resource dg.Dg.doc_name n.Dg.dg_id
+type 'n view = {
+  doc : string;
+  id : 'n -> int;
+  label : 'n -> string;
+  select : Ast.path -> 'n list;
+  ancestors : 'n -> 'n list;
+  parent : 'n -> 'n option;
+  subtree : 'n -> 'n list;
+  landing : ('n -> string -> 'n) option;
+}
 
-(* A lock on [n] plus the intention lock on each ancestor. *)
-let with_ancestors dg mode (n : Dg.node) =
+let guide_view (dg : Dg.t) =
+  {
+    doc = dg.Dg.doc_name;
+    id = (fun n -> n.Dg.dg_id);
+    label = (fun n -> n.Dg.label);
+    select = Dg.match_path dg;
+    ancestors = Dg.ancestors;
+    parent = (fun n -> n.Dg.parent);
+    subtree = Dg.descendants_or_self;
+    landing =
+      Some
+        (fun connect label ->
+          Dg.ensure_path dg (Dg.label_path connect @ [ label ]));
+  }
+
+let instance_view (doc : Doc.t) =
+  {
+    doc = doc.Doc.name;
+    id = (fun n -> n.Node.id);
+    label = (fun n -> n.Node.label);
+    select = Eval.select doc;
+    ancestors = Node.ancestors;
+    parent = (fun n -> n.Node.parent);
+    subtree = Node.descendant_or_self;
+    landing = None;
+  }
+
+let res v n = Table.resource v.doc (v.id n)
+
+let with_ancestors v mode n =
   let up = Mode.intention_for mode in
-  (res dg n, mode) :: List.map (fun a -> (res dg a, up)) (Dg.ancestors n)
+  (res v n, mode) :: List.map (fun a -> (res v a, up)) (v.ancestors n)
+
+let reads v p = List.concat_map (with_ancestors v Mode.ST) (v.select p)
 
 let concat_path (prefix : Ast.path) (rel : Ast.path) =
   { Ast.absolute = prefix.Ast.absolute; steps = prefix.Ast.steps @ rel.Ast.steps }
 
 (* ST on every node a predicate can read, IS above. *)
-let predicate_locks dg (p : Ast.path) =
+let predicate_locks v (p : Ast.path) =
   List.concat_map
     (fun (prefix, rel) ->
-      let full = Ast.without_predicates (concat_path prefix rel) in
-      List.concat_map (with_ancestors dg Mode.ST) (Dg.match_path dg full))
+      reads v (Ast.without_predicates (concat_path prefix rel)))
     (Ast.predicate_paths p)
 
-let main_targets dg (p : Ast.path) = Dg.match_path dg (Ast.without_predicates p)
+let connects v (pos : Op.position) p =
+  let targets = v.select p in
+  match pos with
+  | Op.Into -> targets
+  | Op.After | Op.Before ->
+    List.map (fun n -> Option.value (v.parent n) ~default:n) targets
 
-(* The DataGuide node where content with root label [l] lives when attached
-   under [connect]; created (count 0) if the label path is new. *)
-let new_location dg (connect : Dg.node) label =
-  Dg.ensure_path dg (Dg.label_path connect @ [ label ])
-
-let parent_or_self (n : Dg.node) =
-  match n.Dg.parent with Some p -> p | None -> n
+(* The nodes new content lands on, [f landing]; none in a view without
+   landings. [requests] lands everything before it derives predicate locks:
+   the guide view's [ensure_path] hands out ids in call order, and a
+   predicate path may select a node a landing just created. *)
+let landed v f = match v.landing with None -> [] | Some landing -> f landing
 
 let insert_mode = function
   | Op.Into -> Mode.SI
   | Op.After -> Mode.SA
   | Op.Before -> Mode.SB
 
-let requests dg (op : Op.t) =
+let requests v (op : Op.t) =
+  let all mode ns = List.concat_map (with_ancestors v mode) ns in
   let locks =
     match op with
-    | Op.Query p ->
-      List.concat_map (with_ancestors dg Mode.ST) (main_targets dg p)
-      @ predicate_locks dg p
+    | Op.Query p -> reads v p
     | Op.Insert { target; pos; fragment } ->
-      let tnodes = main_targets dg target in
-      let connects =
-        match pos with
-        | Op.Into -> tnodes
-        | Op.After | Op.Before -> List.map parent_or_self tnodes
+      let cs = connects v pos target in
+      let fresh =
+        landed v (fun put ->
+            match frag_root_label fragment with
+            | None -> []
+            | Some l -> List.map (fun c -> put c l) cs)
       in
-      let frag_label = frag_root_label fragment in
-      let new_nodes =
-        match frag_label with
-        | None -> []
-        | Some l -> List.map (fun c -> new_location dg c l) connects
-      in
-      List.concat_map (with_ancestors dg Mode.X) new_nodes
-      @ List.concat_map (with_ancestors dg (insert_mode pos)) connects
-      @ predicate_locks dg target
-    | Op.Remove p ->
-      List.concat_map (with_ancestors dg Mode.XT) (main_targets dg p)
-      @ predicate_locks dg p
+      all Mode.X fresh @ all (insert_mode pos) cs
+    | Op.Remove p -> all Mode.XT (v.select p)
     | Op.Rename { target; new_label } ->
-      let tnodes = main_targets dg target in
-      let new_nodes =
-        List.filter_map
-          (fun n ->
-            match n.Dg.parent with
-            | Some p -> Some (new_location dg p new_label)
-            | None -> None)
-          tnodes
+      let tnodes = v.select target in
+      let fresh =
+        landed v (fun put ->
+            List.filter_map
+              (fun n -> Option.map (fun p -> put p new_label) (v.parent n))
+              tnodes)
       in
-      List.concat_map (with_ancestors dg Mode.XT) tnodes
-      @ List.concat_map (with_ancestors dg Mode.X) new_nodes
-      @ predicate_locks dg target
-    | Op.Change { target; _ } ->
-      List.concat_map (with_ancestors dg Mode.X) (main_targets dg target)
-      @ predicate_locks dg target
+      all Mode.XT tnodes @ all Mode.X fresh
+    | Op.Change { target; _ } -> all Mode.X (v.select target)
     | Op.Transpose { source; dest } ->
-      let snodes = main_targets dg source in
-      let dnodes = main_targets dg dest in
-      let new_nodes =
-        List.concat_map
-          (fun (s : Dg.node) ->
-            List.map (fun d -> new_location dg d s.Dg.label) dnodes)
-          snodes
+      let snodes = v.select source in
+      let dnodes = v.select dest in
+      let fresh =
+        landed v (fun put ->
+            List.concat_map
+              (fun s -> List.map (fun d -> put d (v.label s)) dnodes)
+              snodes)
       in
-      List.concat_map (with_ancestors dg Mode.XT) snodes
-      @ List.concat_map (with_ancestors dg Mode.SI) dnodes
-      @ List.concat_map (with_ancestors dg Mode.X) new_nodes
-      @ predicate_locks dg source
-      @ predicate_locks dg dest
+      all Mode.XT snodes @ all Mode.SI dnodes @ all Mode.X fresh
   in
-  Table.dedup_requests locks
+  (* Predicates are read after every landing is in place. *)
+  let preds = List.concat_map (predicate_locks v) (Op.paths op) in
+  Table.dedup_requests (locks @ preds)

@@ -7,17 +7,8 @@ module Op = Dtx_update.Op
 module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
 
-let res (dg : Dg.t) (n : Dg.node) = Table.resource dg.Dg.doc_name n.Dg.dg_id
-
 let vres (dg : Dg.t) (n : Dg.node) v =
   Table.value_resource dg.Dg.doc_name n.Dg.dg_id v
-
-let with_ancestors dg mode (n : Dg.node) =
-  let up = Mode.intention_for mode in
-  (res dg n, mode) :: List.map (fun a -> (res dg a, up)) (Dg.ancestors n)
-
-let concat_path (prefix : Ast.path) (rel : Ast.path) =
-  { Ast.absolute = prefix.Ast.absolute; steps = prefix.Ast.steps @ rel.Ast.steps }
 
 (* Enumerate the path's predicates with their anchoring prefix and, for Eq,
    the literal compared against. (Ast.predicate_paths strips predicates from
@@ -49,20 +40,17 @@ let predicates_with_literals (p : Ast.path) =
    predicate path, so ST goes on the (node, literal) resource; IS still
    covers the plain node and its ancestors. Exists predicates read every
    value and keep the full ST. *)
-let predicate_locks dg (p : Ast.path) =
+let predicate_locks dg gv (p : Ast.path) =
   List.concat_map
     (fun ((prefix : Ast.path), (rel : Ast.path), literal) ->
-      let full = Ast.without_predicates (concat_path prefix rel) in
-      let nodes = Dg.match_path dg full in
+      let full = Ast.without_predicates (Xdgl_rules.concat_path prefix rel) in
       match literal with
       | Some v ->
         List.concat_map
           (fun n ->
-            (vres dg n v, Mode.ST)
-            :: (res dg n, Mode.IS)
-            :: List.map (fun a -> (res dg a, Mode.IS)) (Dg.ancestors n))
-          nodes
-      | None -> List.concat_map (with_ancestors dg Mode.ST) nodes)
+            (vres dg n v, Mode.ST) :: Xdgl_rules.with_ancestors gv Mode.IS n)
+          (gv.Xdgl_rules.select full)
+      | None -> Xdgl_rules.reads gv full)
     (predicates_with_literals p)
 
 (* The predicates inside [p] resolve against [doc], so the affected node set
@@ -95,9 +83,6 @@ let subtree_value_locks dg (root : Node.t) =
          | _ -> acc)
        [] root)
 
-let parent_or_self (n : Dg.node) =
-  match n.Dg.parent with Some p -> p | None -> n
-
 let requests dg (doc : Doc.t) (op : Op.t) =
   (* Replace the coarse predicate ST locks of the structural rules with
      value-scoped ones: recompute the base rules on the predicate-free
@@ -113,9 +98,10 @@ let requests dg (doc : Doc.t) (op : Op.t) =
     | Op.Transpose t ->
       Op.Transpose { source = strip t.source; dest = strip t.dest }
   in
-  let base = Xdgl_rules.requests dg base_op in
+  let gv = Xdgl_rules.guide_view dg in
+  let base = Xdgl_rules.requests gv base_op in
   let preds =
-    List.concat_map (predicate_locks dg) (Op.paths op)
+    List.concat_map (predicate_locks dg gv) (Op.paths op)
   in
   let values =
     match op with
@@ -134,12 +120,6 @@ let requests dg (doc : Doc.t) (op : Op.t) =
       match Dtx_xml.Parser.parse_fragment fragment with
       | exception Dtx_xml.Parser.Parse_error _ -> []
       | frag ->
-        let tnodes = Dg.match_path dg (strip target) in
-        let connects =
-          match pos with
-          | Op.Into -> tnodes
-          | Op.After | Op.Before -> List.map parent_or_self tnodes
-        in
         List.concat_map
           (fun connect ->
             List.rev
@@ -154,7 +134,7 @@ let requests dg (doc : Doc.t) (op : Op.t) =
                      (vres dg dgn v, Mode.X) :: acc
                    | _ -> acc)
                  [] frag.Doc.root))
-          connects)
+          (Xdgl_rules.connects gv pos target))
     | Op.Transpose { source; _ } ->
       (* Moved values keep their text but change paths; lock the old
          locations' values exclusively. *)

@@ -3,7 +3,8 @@
     predicate readers and writers only collide when they actually touch the
     same value).
 
-    The structural rules are {!Xdgl_rules}'; the differences:
+    The structural rules are {!Xdgl_rules.requests} over
+    {!Xdgl_rules.guide_view}; the differences:
     - an [Eq] predicate takes ST on the {e (DataGuide node, literal)} value
       resource (plus IS on the plain node and its ancestors) instead of ST
       on the whole node — readers of [@id = "4"] and [@id = "5"] share

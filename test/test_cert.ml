@@ -19,6 +19,7 @@ module Op = Dtx_update.Op
 module Doc = Dtx_xml.Doc
 module Node = Dtx_xml.Node
 module Dg = Dtx_dataguide.Dataguide
+module Xdgl_rules = Dtx_protocol.Xdgl_rules
 module Eval = Dtx_xpath.Eval
 module Xp = Dtx_xpath.Parser
 
@@ -152,11 +153,11 @@ let ids id ns = List.sort_uniq compare (List.map id ns)
    on [accesses] directly for both views. *)
 let test_oracle_view_rules () =
   let dg = Dg.build (Cert.parse_universe ()) in
-  let gv = Cert.guide_view dg in
+  let gv = Xdgl_rules.guide_view dg in
   let g path = Dg.match_path dg (Xp.parse path) in
   let gid (n : Dg.node) = n.Dg.dg_id in
   let doc = Cert.parse_universe () in
-  let iv = Cert.instance_view doc in
+  let iv = Xdgl_rules.instance_view doc in
   let i path = Eval.select doc (Xp.parse path) in
   let iid (n : Node.t) = n.Node.id in
   let writes_of v s aspect = writes (Cert.accesses v (op_of s)) aspect in
@@ -319,7 +320,9 @@ let test_parse_unknown_protocol () =
   checkb "unknown name rejected" true
     (is_error (Protocol_arg.parse_config "nosuchprotocol"));
   checkb "unknown name in list rejected" true
-    (is_error (Protocol_arg.parse_configs "xdgl,nosuchprotocol"))
+    (is_error (Protocol_arg.parse_configs "xdgl,nosuchprotocol"));
+  (* A sweep over no configuration would pass having checked nothing. *)
+  checkb "empty list rejected" true (is_error (Protocol_arg.parse_configs " , "))
 
 let test_parse_duplicate_configs () =
   checkb "duplicate plain entry rejected" true

@@ -47,7 +47,9 @@ let pool =
      "INSERT BEFORE /r/b/z <k>7</k>";
      "INSERT AFTER /r/a/y <m2>6</m2>" |]
 
-let analyzer () = Commute.create ~protocol:Protocol.xdgl ~docs:[ ("D", pool_doc) ]
+let analyzer () =
+  Commute.create ~protocol:Protocol.xdgl
+    ~docs:[ Xml_parser.parse ~name:"D" pool_doc ]
 
 let decide t i j = Commute.decide t ("D", op pool.(i)) ("D", op pool.(j))
 

@@ -26,6 +26,9 @@ let store () =
 
 let dg_of doc = Dg.build doc
 
+(* XDGL's lock set: the rule table over the DataGuide view. *)
+let xdgl_requests dg op = Xdgl_rules.requests (Xdgl_rules.guide_view dg) op
+
 let mode_on dg requests labels =
   (* Modes requested on the dataguide node at this label path. *)
   match Dg.find_path dg labels with
@@ -41,7 +44,7 @@ let mode_on dg requests labels =
 let test_xdgl_query_locks () =
   let doc = store () in
   let dg = dg_of doc in
-  let reqs = Xdgl_rules.requests dg (Op.Query (P.parse "/products/product/price")) in
+  let reqs = xdgl_requests dg (Op.Query (P.parse "/products/product/price")) in
   Alcotest.(check (list string))
     "ST on target" [ "ST" ]
     (List.map Mode.to_string (mode_on dg reqs [ "products"; "product"; "price" ]));
@@ -53,7 +56,7 @@ let test_xdgl_query_predicate_locks () =
   let doc = store () in
   let dg = dg_of doc in
   let reqs =
-    Xdgl_rules.requests dg (Op.Query (P.parse "/products/product[id = \"4\"]/price"))
+    xdgl_requests dg (Op.Query (P.parse "/products/product[id = \"4\"]/price"))
   in
   checkb "ST on predicate node id" true
     (List.mem Mode.ST (mode_on dg reqs [ "products"; "product"; "id" ]))
@@ -67,7 +70,7 @@ let test_xdgl_insert_locks () =
         pos = Op.Into;
         fragment = "<tag>x</tag>" }
   in
-  let reqs = Xdgl_rules.requests dg op in
+  let reqs = xdgl_requests dg op in
   (* X on the new node's path (created on demand), IX above, SI on the
      connecting node, IS above it. *)
   checkb "X on new path" true
@@ -87,14 +90,14 @@ let test_xdgl_insert_after_connects_to_parent () =
     Op.Insert
       { target = P.parse "/products/product[1]"; pos = Op.After; fragment = "<product/>" }
   in
-  let reqs = Xdgl_rules.requests dg op in
+  let reqs = xdgl_requests dg op in
   checkb "SA on parent (connect)" true
     (List.mem Mode.SA (mode_on dg reqs [ "products" ]))
 
 let test_xdgl_remove_locks () =
   let doc = store () in
   let dg = dg_of doc in
-  let reqs = Xdgl_rules.requests dg (Op.Remove (P.parse "//product[id = \"4\"]")) in
+  let reqs = xdgl_requests dg (Op.Remove (P.parse "//product[id = \"4\"]")) in
   checkb "XT on target" true
     (List.mem Mode.XT (mode_on dg reqs [ "products"; "product" ]));
   checkb "IX above" true (List.mem Mode.IX (mode_on dg reqs [ "products" ]));
@@ -105,7 +108,7 @@ let test_xdgl_change_locks () =
   let doc = store () in
   let dg = dg_of doc in
   let reqs =
-    Xdgl_rules.requests dg
+    xdgl_requests dg
       (Op.Change { target = P.parse "//product/price"; new_text = "0" })
   in
   checkb "X on target" true
@@ -115,7 +118,7 @@ let test_xdgl_rename_locks () =
   let doc = store () in
   let dg = dg_of doc in
   let reqs =
-    Xdgl_rules.requests dg
+    xdgl_requests dg
       (Op.Rename { target = P.parse "//product/price"; new_label = "cost" })
   in
   checkb "XT on old path" true
@@ -127,7 +130,7 @@ let test_xdgl_transpose_locks () =
   let doc = Xml_parser.parse ~name:"d" "<r><a><x/></a><b/></r>" in
   let dg = dg_of doc in
   let reqs =
-    Xdgl_rules.requests dg
+    xdgl_requests dg
       (Op.Transpose { source = P.parse "/r/a/x"; dest = P.parse "/r/b" })
   in
   checkb "XT on source" true (List.mem Mode.XT (mode_on dg reqs [ "r"; "a"; "x" ]));
@@ -140,12 +143,12 @@ let test_xdgl_scenario_conflict () =
   let doc = store () in
   let dg = dg_of doc in
   let table = Table.create () in
-  let q = Xdgl_rules.requests dg (Op.Query (P.parse "/products/product")) in
+  let q = xdgl_requests dg (Op.Query (P.parse "/products/product")) in
   (match Table.acquire_all table ~txn:2 q with
    | Ok () -> ()
    | Error _ -> Alcotest.fail "reader should lock");
   let ins =
-    Xdgl_rules.requests dg
+    xdgl_requests dg
       (Op.Insert
          { target = P.parse "/products";
            pos = Op.Into;
@@ -204,12 +207,19 @@ let test_node2pl_conflicts_are_per_node () =
 
 (* --- taDOM rules ------------------------------------------------------------ *)
 
-module Tadom_rules = Dtx_protocol.Tadom_rules
+(* taDOM's [(retained, processed)] through the registry: the rule table
+   over the document-instance view. *)
+let tadom_requests doc op =
+  let p = Protocol.create Protocol.tadom in
+  Protocol.add_doc p doc;
+  match Protocol.lock_requests p ~doc:doc.Doc.name op with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
 
 let test_tadom_path_proportional () =
   let doc = store () in
   let retained, processed =
-    Tadom_rules.requests doc (Op.Query (P.parse "//product[id = \"4\"]"))
+    tadom_requests doc (Op.Query (P.parse "//product[id = \"4\"]"))
   in
   check "processed = retained (no navigation charge)" (List.length retained)
     processed;
@@ -226,8 +236,8 @@ let test_tadom_finer_than_xdgl () =
   let ins path =
     Op.Insert { target = P.parse path; pos = Op.Into; fragment = "<tag/>" }
   in
-  let r1, _ = Tadom_rules.requests doc (ins "/products/product[id = \"4\"]") in
-  let r2, _ = Tadom_rules.requests doc (ins "/products/product[id = \"14\"]") in
+  let r1, _ = tadom_requests doc (ins "/products/product[id = \"4\"]") in
+  let r2, _ = tadom_requests doc (ins "/products/product[id = \"14\"]") in
   (match Table.acquire_all table ~txn:1 r1 with
    | Ok () -> ()
    | Error _ -> Alcotest.fail "first insert locks");
@@ -237,8 +247,8 @@ let test_tadom_finer_than_xdgl () =
   (* XDGL, by contrast, conflicts on the shared product label path. *)
   let dg = dg_of (store ()) in
   let table2 = Table.create () in
-  let x1 = Xdgl_rules.requests dg (ins "/products/product[id = \"4\"]") in
-  let x2 = Xdgl_rules.requests dg (ins "/products/product[id = \"14\"]") in
+  let x1 = xdgl_requests dg (ins "/products/product[id = \"4\"]") in
+  let x2 = xdgl_requests dg (ins "/products/product[id = \"14\"]") in
   (match Table.acquire_all table2 ~txn:1 x1 with
    | Ok () -> ()
    | Error _ -> Alcotest.fail "xdgl first insert locks");
@@ -251,18 +261,71 @@ let test_tadom_subtree_protection () =
      reader of a node INSIDE the removed subtree (implicit coverage). *)
   let doc = store () in
   let table = Table.create () in
-  let rm, _ = Tadom_rules.requests doc (Op.Remove (P.parse "//product[id = \"4\"]")) in
+  let rm, _ = tadom_requests doc (Op.Remove (P.parse "//product[id = \"4\"]")) in
   (match Table.acquire_all table ~txn:1 rm with
    | Ok () -> ()
    | Error _ -> Alcotest.fail "remove locks");
   let rd, _ =
-    Tadom_rules.requests doc (Op.Query (P.parse "//product[id = \"4\"]/price"))
+    tadom_requests doc (Op.Query (P.parse "//product[id = \"4\"]/price"))
   in
   match Table.acquire_all table ~txn:2 rd with
   | Error [ 1 ] -> ()
   | Error _ -> Alcotest.fail "wrong blocker"
   | Ok () ->
     Alcotest.fail "reading inside a subtree being removed must conflict"
+
+(* The instance view has no landing: the rules that give XDGL an X on the
+   label path new content lands on give taDOM none. *)
+let node_modes reqs (n : Dtx_xml.Node.t) =
+  List.filter_map
+    (fun (r, m) -> if Table.resource_node r = n.Dtx_xml.Node.id then Some m else None)
+    reqs
+  |> List.sort_uniq compare
+
+let select doc path = Dtx_xpath.Eval.select doc (P.parse path)
+
+let one doc path =
+  match select doc path with
+  | [ n ] -> n
+  | ns -> Alcotest.failf "%s selects %d nodes" path (List.length ns)
+
+let no_x reqs = not (List.exists (fun (_, m) -> m = Mode.X) reqs)
+
+let test_tadom_rename () =
+  let doc = store () in
+  let reqs, _ =
+    tadom_requests doc
+      (Op.Rename { target = P.parse "//product[id = \"4\"]"; new_label = "item" })
+  in
+  checkb "XT on the target" true
+    (List.mem Mode.XT (node_modes reqs (one doc "//product[id = \"4\"]")));
+  checkb "IX above" true (List.mem Mode.IX (node_modes reqs doc.Doc.root));
+  checkb "no X anywhere" true (no_x reqs)
+
+let test_tadom_transpose () =
+  let doc = store () in
+  let src = "/products/product[id = \"4\"]/price" in
+  let dst = "/products/product[id = \"14\"]" in
+  let reqs, _ =
+    tadom_requests doc (Op.Transpose { source = P.parse src; dest = P.parse dst })
+  in
+  checkb "XT on the source" true (List.mem Mode.XT (node_modes reqs (one doc src)));
+  checkb "SI on the destination" true
+    (List.mem Mode.SI (node_modes reqs (one doc dst)));
+  checkb "no X anywhere" true (no_x reqs)
+
+let test_tadom_change () =
+  let doc = store () in
+  let target = "//product[id = \"4\"]/price" in
+  let reqs, _ =
+    tadom_requests doc (Op.Change { target = P.parse target; new_text = "9" })
+  in
+  let x_nodes =
+    List.filter_map (fun (r, m) -> if m = Mode.X then Some (Table.resource_node r) else None) reqs
+  in
+  Alcotest.(check (list int)) "X on exactly the selected node"
+    [ (one doc target).Dtx_xml.Node.id ] x_nodes;
+  check "two prices in the document" 2 (List.length (select doc "//price"))
 
 let test_tadom_in_cluster () =
   (* Full pluggability: the paper's future-work protocol running the whole
@@ -365,7 +428,7 @@ let test_value_locks_superset_of_base () =
                  (fun ((r' : Table.resource), m') -> r' = r && m' = m)
                  value
             || not (Mode.is_exclusive m))
-          (Xdgl_rules.requests dg
+          (xdgl_requests dg
              (match op with
               | Op.Query p -> Op.Query (Dtx_xpath.Ast.without_predicates p)
               | other -> other))
@@ -553,14 +616,14 @@ let prop_xdgl_update_conflicts_with_overlapping_query =
       let doc = store () in
       let dg = dg_of doc in
       let table = Table.create () in
-      let q = Xdgl_rules.requests dg (Op.Query (P.parse qpath)) in
+      let q = xdgl_requests dg (Op.Query (P.parse qpath)) in
       (match Table.acquire_all table ~txn:1 q with
        | Ok () -> ()
        | Error _ -> failwith "reader must acquire on empty table");
       let update =
         match Op.parse update_text with Ok op -> op | Error e -> failwith e
       in
-      let u = Xdgl_rules.requests dg update in
+      let u = xdgl_requests dg update in
       match Table.acquire_all table ~txn:2 u with
       | Error _ -> true
       | Ok () -> false)
@@ -603,7 +666,7 @@ let prop_xdgl_locks_cover_modifications =
       let counter = ref 0 in
       let fresh () = incr counter; !counter in
       let op = Generator_q.gen_update rng ~fresh doc in
-      let requests = Xdgl_rules.requests dg op in
+      let requests = xdgl_requests dg op in
       match Exec.apply doc op with
       | Error _ -> true (* nothing modified, nothing to cover *)
       | Ok eff ->
@@ -653,6 +716,9 @@ let () =
         [ Alcotest.test_case "path proportional" `Quick test_tadom_path_proportional;
           Alcotest.test_case "finer than xdgl" `Quick test_tadom_finer_than_xdgl;
           Alcotest.test_case "subtree protection" `Quick test_tadom_subtree_protection;
+          Alcotest.test_case "rename takes no X" `Quick test_tadom_rename;
+          Alcotest.test_case "transpose takes no X" `Quick test_tadom_transpose;
+          Alcotest.test_case "change X on the selected node" `Quick test_tadom_change;
           Alcotest.test_case "runs in the cluster" `Quick test_tadom_in_cluster ] );
       ( "xdgl+vl",
         [ Alcotest.test_case "disjoint value readers" `Quick
