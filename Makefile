@@ -2,26 +2,19 @@
 # (ocamlformat is not pinned in this environment, so formatting is not
 # part of the gate; add it here if/when the binary is available.)
 
-.PHONY: check build test bench bench-smoke analyze analyze-smoke chaos \
-	chaos-smoke explore explore-smoke cert cert-smoke clean
+.PHONY: check build test analyze analyze-smoke chaos chaos-smoke explore \
+	explore-smoke cert cert-smoke clean
 
-# `dune runtest` already runs and diffs `analyze --smoke` and `chaos --smoke`
-# against test/*.expected, so their targets are not repeated here.
-check: build test bench-smoke explore-smoke cert-smoke
+# `dune runtest` already runs and diffs `analyze --smoke`, `chaos --smoke`
+# and `experiment all --quick` / `experiment ablation` against
+# test/*.expected, so their targets are not repeated here.
+check: build test explore-smoke cert-smoke
 
 build:
 	dune build
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe -- quick
-
-# Tiny-quota microbench pass: catches perf-path code that crashes without
-# paying for a real measurement run.
-bench-smoke:
-	dune exec bench/main.exe -- micro smoke
 
 # Invariant analyzer (Dtx_check): seeded workloads under every protocol with
 # the serializability / S2PL / FSM / deadlock checker attached. Exits

@@ -9,10 +9,10 @@
      dtx scale      --sites 1000 --clients 10000   extreme-scale single run
      dtx explore    --scenario ref [--naive] [--json]
      dtx selftest                                 every seeded fault is caught
-     dtx experiment fig9 [--quick]                regenerate a paper figure
+     dtx experiment all [--quick] [--export DIR]  the paper's evaluation
 
-   Everything runs on the simulated cluster; see bench/main.exe for the
-   complete evaluation harness. *)
+   Everything runs on the simulated cluster; [experiment] regenerates the
+   paper's figures, the qualitative summary and the ablations. *)
 
 open Cmdliner
 
@@ -805,24 +805,31 @@ let selftest_cmd =
 (* --- experiment -------------------------------------------------------------*)
 
 let experiment_cmd =
-  let figure =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE"
-           ~doc:"One of: fig9, fig10, fig11a, fig11b, fig12, all.")
+  let target =
+    Arg.(required & pos 0 (some (enum Experiments.targets)) None
+         & info [] ~docv:"TARGET"
+             ~doc:("The evaluation to run: "
+                   ^ doc_alts_enum Experiments.targets
+                   ^ ". $(b,all) prints every figure, $(b,summary) checks \
+                      the paper's qualitative claims, $(b,ablation) runs \
+                      the design ablations."))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale.") in
-  let run figure quick =
-    let figs =
-      match Experiments.named figure with
-      | Some driver -> driver ~quick
-      | None ->
-        Printf.eprintf "unknown figure %s\n" figure;
-        exit 1
-    in
-    List.iter (fun f -> Format.printf "%a@.@." Experiments.pp_figure f) figs
+  let export =
+    Arg.(value & opt (some string) None & info [ "export" ] ~docv:"DIR"
+           ~doc:"Also write each figure as $(docv)/<figure id>.csv.")
+  in
+  let run target quick export =
+    try Experiments.run ?export ~quick Format.std_formatter target
+    with Sys_error msg ->
+      Printf.eprintf "dtx_cli: cannot export: %s\n" msg;
+      exit 1
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate one of the paper's figures.")
-    Term.(const run $ figure $ quick)
+    (Cmd.info "experiment"
+       ~doc:"Run the paper's evaluation: a figure, the qualitative summary \
+             or the ablations.")
+    Term.(const run $ target $ quick $ export)
 
 let () =
   let doc = "DTX: distributed concurrency control for XML data (reproduction)" in

@@ -106,9 +106,6 @@ let remove_instance t labels =
 let add_subtree t (root : Node.t) =
   Node.iter (fun n -> ignore (add_instance t (Node.label_path n))) root
 
-let remove_subtree t (root : Node.t) =
-  Node.iter (fun n -> remove_instance t (Node.label_path n)) root
-
 let build (doc : Doc.t) =
   let t = create ~doc_name:doc.Doc.name ~root_label:doc.Doc.root.Node.label in
   add_subtree t doc.Doc.root;
@@ -191,28 +188,6 @@ let match_path t (p : Ast.path) =
       (* Relative paths are resolved from the root element's children, the
          same convention as Dtx_xpath.Eval.select. *)
       eval ~leading_absolute:false [ t.root ] p.Ast.steps
-
-let prune t =
-  let removed = ref 0 in
-  let rec go n =
-    (* Depth-first: prune children first so empty chains collapse. *)
-    let kids = children_list n in
-    List.iter go kids;
-    Hashtbl.iter
-      (fun label c ->
-        if c.target_count = 0 && Hashtbl.length c.children = 0 then begin
-          Hashtbl.remove n.children label;
-          Hashtbl.remove t.by_id c.dg_id;
-          incr removed
-        end)
-      (Hashtbl.copy n.children)
-  in
-  go t.root;
-  if !removed > 0 then begin
-    t.version <- t.version + !removed;
-    t.shape_version <- t.shape_version + !removed
-  end;
-  !removed
 
 let validate t (doc : Doc.t) =
   (* Recompute expected counts from the document and compare. *)

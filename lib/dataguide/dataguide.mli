@@ -9,9 +9,8 @@
 
     Each DataGuide node keeps a [target_count]: how many document nodes map
     to this label path. Counts are maintained incrementally as the document
-    is updated, and a node whose count drops to zero stays in place (locks
-    may still reference it); {!prune} removes such husks when nothing
-    references them anymore. *)
+    is updated, and a node whose count drops to zero stays in place: locks
+    may still reference it. *)
 
 type node = {
   dg_id : int;  (** unique within one DataGuide *)
@@ -27,12 +26,12 @@ type t = {
   by_id : (int, node) Hashtbl.t;
   mutable next_id : int;
   mutable version : int;
-      (** bumped on every mutation (node creation, instance count change,
-          prune) — lock-derivation caches key on it *)
+      (** bumped on every mutation (node creation, instance count change)
+          — lock-derivation caches key on it *)
   mutable shape_version : int;
-      (** bumped only when the trie's {e shape} changes — a node created or
-          pruned, i.e. a label path appearing or vanishing. Instance-count
-          changes on existing paths leave it alone. *)
+      (** bumped only when the trie's {e shape} changes — a node created,
+          i.e. a label path appearing. Instance-count changes on existing
+          paths leave it alone. *)
 }
 
 val build : Dtx_xml.Doc.t -> t
@@ -44,8 +43,8 @@ val version : t -> int
     valid iff the version it was computed at is still current. *)
 
 val shape_version : t -> int
-(** Monotonic {e shape} counter: changes only when label paths appear or
-    vanish — the only mutations that can change which DataGuide nodes a
+(** Monotonic {e shape} counter: changes only when a label path appears —
+    the only mutation that can change which DataGuide nodes a
     path expression resolves to. The optimistic protocol's validation
     snapshots this: footprints derived before a shape change may be stale,
     while instance-count churn on existing paths cannot invalidate them. *)
@@ -72,9 +71,6 @@ val remove_instance : t -> string list -> unit
 val add_subtree : t -> Dtx_xml.Node.t -> unit
 (** Register every node of a document subtree (used after an insert). *)
 
-val remove_subtree : t -> Dtx_xml.Node.t -> unit
-(** Unregister every node of a document subtree (used after a remove). *)
-
 val ancestors : node -> node list
 (** Ancestors from parent up to the root, nearest first. *)
 
@@ -90,10 +86,6 @@ val match_path : t -> Dtx_xpath.Ast.path -> node list
     narrow the document result, and locks must cover every node the query
     might inspect). This is XDGL's lock-target computation for the main
     path. *)
-
-val prune : t -> int
-(** Remove leaf nodes with [target_count = 0]; returns how many were
-    removed. *)
 
 val validate : t -> Dtx_xml.Doc.t -> (unit, string) result
 (** Check that the DataGuide is exactly the strong DataGuide of [doc]: every

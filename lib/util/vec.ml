@@ -85,21 +85,3 @@ let of_list l =
   v
 
 let to_array v = Array.sub v.data 0 v.len
-
-let filter_in_place p v =
-  let j = ref 0 in
-  for i = 0 to v.len - 1 do
-    let x = Array.unsafe_get v.data i in
-    if p x then begin
-      Array.unsafe_set v.data !j x;
-      incr j
-    end
-  done;
-  v.len <- !j
-
-let swap_remove v i =
-  check v i "Vec.swap_remove";
-  let x = Array.unsafe_get v.data i in
-  v.len <- v.len - 1;
-  Array.unsafe_set v.data i (Array.unsafe_get v.data v.len);
-  x

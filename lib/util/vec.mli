@@ -45,12 +45,3 @@ val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 
 val to_array : 'a t -> 'a array
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** [filter_in_place p v] keeps only the elements satisfying [p], preserving
-    their relative order. *)
-
-val swap_remove : 'a t -> int -> 'a
-(** [swap_remove v i] removes the [i]-th element in O(1) by moving the last
-    element into its slot; returns the removed element. Order is not
-    preserved. @raise Invalid_argument if out of range. *)

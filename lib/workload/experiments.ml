@@ -24,147 +24,74 @@ let base_params quick =
       n_sites = 3 }
   else Workload.default_params
 
+let mean_response r = r.Workload.response.Dtx_util.Stats.mean
+
+(* One run per protocol and x value: [set p x] moves one parameter of [p]
+   to [x]. Returns each protocol's label with its (x, result) points. *)
+let sweep (p0 : Workload.params) xs set =
+  List.map
+    (fun (kind, label) ->
+      ( label,
+        List.map
+          (fun x -> (x, Workload.run (set { p0 with protocol = kind } x)))
+          xs ))
+    protocols
+
+let figure ~id ~title ~xlabel ~ylabel y runs =
+  { id; title; xlabel; ylabel;
+    series =
+      List.map
+        (fun (label, points) ->
+          { label; points = List.map (fun (x, r) -> (x, y r)) points })
+        runs }
+
+(* Figs. 10 and 11: response time and deadlock aborts over one sweep. *)
+let response_and_deadlocks ~quick ~id ~fig ~versus ~xlabel xs set =
+  let runs = sweep (base_params quick) xs set in
+  [ figure ~id:(id ^ "-response")
+      ~title:(Printf.sprintf "%s — response time vs %s" fig versus)
+      ~xlabel ~ylabel:"mean response time (ms)" mean_response runs;
+    figure ~id:(id ^ "-deadlocks")
+      ~title:(Printf.sprintf "%s — deadlocks vs %s" fig versus)
+      ~xlabel ~ylabel:"deadlock aborts"
+      (fun r -> float_of_int r.Workload.deadlocks)
+      runs ]
+
 (* ------------------------------------------------------------------ *)
 
-let fig9 ?(quick = false) () =
-  let p0 = base_params quick in
-  let clients = if quick then [ 4; 8; 12 ] else [ 10; 20; 30; 40; 50 ] in
+let fig9 ~quick =
+  let clients = if quick then [ 4.; 8.; 12. ] else [ 10.; 20.; 30.; 40.; 50. ] in
   let make_fig replication rep_name =
-    let series =
-      List.map
-        (fun (kind, label) ->
-          let points =
-            List.map
-              (fun n ->
-                let r =
-                  Workload.run
-                    { p0 with
-                      protocol = kind;
-                      n_clients = n;
-                      update_txn_pct = 0;
-                      replication }
-                in
-                (float_of_int n, r.Workload.response.Dtx_util.Stats.mean))
-              clients
-          in
-          { label; points })
-        protocols
-    in
-    { id = "fig9-" ^ rep_name;
-      title =
-        Printf.sprintf "Fig. 9 — response time vs clients (%s replication)"
-          rep_name;
-      xlabel = "clients";
-      ylabel = "mean response time (ms)";
-      series }
+    let p0 = { (base_params quick) with update_txn_pct = 0; replication } in
+    figure ~id:("fig9-" ^ rep_name)
+      ~title:
+        (Printf.sprintf "Fig. 9 — response time vs clients (%s replication)"
+           rep_name)
+      ~xlabel:"clients" ~ylabel:"mean response time (ms)" mean_response
+      (sweep p0 clients (fun p n -> { p with n_clients = int_of_float n }))
   in
   [ make_fig Allocation.Total "total";
     make_fig (Allocation.Partial { copies = 1 }) "partial" ]
 
-(* ------------------------------------------------------------------ *)
+let fig10 ~quick =
+  response_and_deadlocks ~quick ~id:"fig10" ~fig:"Fig. 10"
+    ~versus:"update percentage" ~xlabel:"update transactions (%)"
+    (if quick then [ 20.; 40.; 60. ] else [ 20.; 30.; 40.; 50.; 60. ])
+    (fun p pct -> { p with update_txn_pct = int_of_float pct })
 
-let fig10 ?(quick = false) () =
-  let p0 = base_params quick in
-  let pcts = if quick then [ 20; 40; 60 ] else [ 20; 30; 40; 50; 60 ] in
-  let runs =
-    List.map
-      (fun (kind, label) ->
-        ( label,
-          List.map
-            (fun pct ->
-              let r =
-                Workload.run { p0 with protocol = kind; update_txn_pct = pct }
-              in
-              (float_of_int pct, r))
-            pcts ))
-      protocols
-  in
-  let series_of f =
-    List.map
-      (fun (label, points) ->
-        { label; points = List.map (fun (x, r) -> (x, f r)) points })
-      runs
-  in
-  [ { id = "fig10-response";
-      title = "Fig. 10 — response time vs update percentage";
-      xlabel = "update transactions (%)";
-      ylabel = "mean response time (ms)";
-      series = series_of (fun r -> r.Workload.response.Dtx_util.Stats.mean) };
-    { id = "fig10-deadlocks";
-      title = "Fig. 10 — deadlocks vs update percentage";
-      xlabel = "update transactions (%)";
-      ylabel = "deadlock aborts";
-      series = series_of (fun r -> float_of_int r.Workload.deadlocks) } ]
+let fig11a ~quick =
+  response_and_deadlocks ~quick ~id:"fig11a" ~fig:"Fig. 11(a)"
+    ~versus:"base size" ~xlabel:"base size (MB)"
+    (if quick then [ 10.; 20.; 40. ] else [ 50.; 100.; 150.; 200. ])
+    (fun p mb -> { p with base_size_mb = mb })
 
-(* ------------------------------------------------------------------ *)
+let fig11b ~quick =
+  response_and_deadlocks ~quick ~id:"fig11b" ~fig:"Fig. 11(b)"
+    ~versus:"number of sites" ~xlabel:"sites"
+    (if quick then [ 2.; 4. ] else [ 2.; 4.; 6.; 8. ])
+    (fun p n -> { p with n_sites = int_of_float n })
 
-let fig11a ?(quick = false) () =
-  let p0 = base_params quick in
-  let sizes = if quick then [ 10.; 20.; 40. ] else [ 50.; 100.; 150.; 200. ] in
-  let runs =
-    List.map
-      (fun (kind, label) ->
-        ( label,
-          List.map
-            (fun mb ->
-              let r = Workload.run { p0 with protocol = kind; base_size_mb = mb } in
-              (mb, r))
-            sizes ))
-      protocols
-  in
-  let series_of f =
-    List.map
-      (fun (label, points) ->
-        { label; points = List.map (fun (x, r) -> (x, f r)) points })
-      runs
-  in
-  [ { id = "fig11a-response";
-      title = "Fig. 11(a) — response time vs base size";
-      xlabel = "base size (MB)";
-      ylabel = "mean response time (ms)";
-      series = series_of (fun r -> r.Workload.response.Dtx_util.Stats.mean) };
-    { id = "fig11a-deadlocks";
-      title = "Fig. 11(a) — deadlocks vs base size";
-      xlabel = "base size (MB)";
-      ylabel = "deadlock aborts";
-      series = series_of (fun r -> float_of_int r.Workload.deadlocks) } ]
-
-(* ------------------------------------------------------------------ *)
-
-let fig11b ?(quick = false) () =
-  let p0 = base_params quick in
-  let site_counts = if quick then [ 2; 4 ] else [ 2; 4; 6; 8 ] in
-  let runs =
-    List.map
-      (fun (kind, label) ->
-        ( label,
-          List.map
-            (fun n ->
-              let r = Workload.run { p0 with protocol = kind; n_sites = n } in
-              (float_of_int n, r))
-            site_counts ))
-      protocols
-  in
-  let series_of f =
-    List.map
-      (fun (label, points) ->
-        { label; points = List.map (fun (x, r) -> (x, f r)) points })
-      runs
-  in
-  [ { id = "fig11b-response";
-      title = "Fig. 11(b) — response time vs number of sites";
-      xlabel = "sites";
-      ylabel = "mean response time (ms)";
-      series = series_of (fun r -> r.Workload.response.Dtx_util.Stats.mean) };
-    { id = "fig11b-deadlocks";
-      title = "Fig. 11(b) — deadlocks vs number of sites";
-      xlabel = "sites";
-      ylabel = "deadlock aborts";
-      series = series_of (fun r -> float_of_int r.Workload.deadlocks) } ]
-
-(* ------------------------------------------------------------------ *)
-
-let fig12 ?(quick = false) () =
+let fig12 ~quick =
   let p0 = base_params quick in
   let runs =
     List.map
@@ -192,17 +119,6 @@ let fig12 ?(quick = false) () =
                   (fun (t, n) -> (t, float_of_int n))
                   r.Workload.concurrency })
           runs } ]
-
-let all ?(quick = false) () =
-  fig9 ~quick () @ fig10 ~quick () @ fig11a ~quick () @ fig11b ~quick ()
-  @ fig12 ~quick ()
-
-let named name =
-  List.assoc_opt name
-    [ ("fig9", fig9); ("fig10", fig10); ("fig11a", fig11a);
-      ("fig11b", fig11b); ("fig12", fig12); ("all", all) ]
-  |> Option.map (fun (driver : ?quick:bool -> unit -> figure list) ~quick ->
-         driver ~quick ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -278,83 +194,205 @@ let to_csv (f : figure) =
   Buffer.contents buf
 
 let write_csv ~dir (f : figure) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (f.id ^ ".csv") in
-  let oc = open_out path in
-  output_string oc (to_csv f);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_csv f));
   path
 
 (* ------------------------------------------------------------------ *)
-
-let last_point s =
-  match List.rev s.points with (_, y) :: _ -> y | [] -> 0.0
 
 let mean_points s =
   match s.points with
   | [] -> 0.0
   | pts -> List.fold_left (fun a (_, y) -> a +. y) 0.0 pts /. float_of_int (List.length pts)
 
-let find_series fig label_prefix =
-  List.find_opt
-    (fun s ->
-      String.length s.label >= String.length label_prefix
-      && String.sub s.label 0 (String.length label_prefix) = label_prefix)
-    fig.series
+(* Mean y of a figure's XDGL and Node2PL series ([protocols] order). *)
+let xdgl_vs_node2pl f =
+  match f.series with
+  | [ x; n ] -> (mean_points x, mean_points n)
+  | _ -> invalid_arg "Experiments.xdgl_vs_node2pl"
 
-let check_pair fig ~expect_lower ~expect_higher =
-  match (find_series fig expect_lower, find_series fig expect_higher) with
-  | Some lo, Some hi -> (mean_points lo, mean_points hi)
-  | _ -> (nan, nan)
-
-let summary_table ?(quick = true) () =
-  let rows = ref [] in
-  let addf figure check expectation observed =
-    rows := (figure, check, expectation, observed) :: !rows
+(* The paper's qualitative claims, checked against fresh runs of Figs. 9, 10
+   and 12 — the EXPERIMENTS.md evidence. *)
+let summary ~quick ppf =
+  let row fig check expectation observed ok =
+    Format.fprintf ppf "%-18s %-32s %-36s %s -> %s@." fig check expectation
+      observed
+      (if ok then "OK" else "MISMATCH")
   in
-  let f9 = fig9 ~quick () in
-  (match f9 with
-   | [ total; partial ] ->
-     let lo_t, hi_t = check_pair total ~expect_lower:"DTX (XDGL)" ~expect_higher:"DTX/Node2PL" in
-     addf "Fig9/total" "XDGL < Node2PL" "XDGL responds faster"
-       (Printf.sprintf "%.1f vs %.1f ms -> %s" lo_t hi_t
-          (if lo_t < hi_t then "OK" else "MISMATCH"));
-     let lo_p, hi_p = check_pair partial ~expect_lower:"DTX (XDGL)" ~expect_higher:"DTX/Node2PL" in
-     addf "Fig9/partial" "XDGL < Node2PL" "XDGL responds faster"
-       (Printf.sprintf "%.1f vs %.1f ms -> %s" lo_p hi_p
-          (if lo_p < hi_p then "OK" else "MISMATCH"));
-     (match (find_series partial "DTX (XDGL)", find_series total "DTX (XDGL)") with
-      | Some p, Some t ->
-        addf "Fig9/replication" "partial < total" "partial replication is faster"
-          (Printf.sprintf "%.1f vs %.1f ms -> %s" (mean_points p) (mean_points t)
-             (if mean_points p < mean_points t then "OK" else "MISMATCH"))
-      | _ -> ())
-   | _ -> ());
-  let f10 = fig10 ~quick () in
-  (match f10 with
+  let faster fig (x, n) =
+    row fig "XDGL < Node2PL" "XDGL responds faster"
+      (Printf.sprintf "%.1f vs %.1f ms" x n)
+      (x < n)
+  in
+  Format.fprintf ppf "== Qualitative checks against the paper ==@.";
+  let total, partial =
+    match fig9 ~quick with
+    | [ t; p ] -> (xdgl_vs_node2pl t, xdgl_vs_node2pl p)
+    | _ -> invalid_arg "Experiments.summary"
+  in
+  faster "Fig9/total" total;
+  faster "Fig9/partial" partial;
+  row "Fig9/replication" "partial < total" "partial replication is faster"
+    (Printf.sprintf "%.1f vs %.1f ms" (fst partial) (fst total))
+    (fst partial < fst total);
+  (match fig10 ~quick with
    | [ resp; dls ] ->
-     let lo, hi = check_pair resp ~expect_lower:"DTX (XDGL)" ~expect_higher:"DTX/Node2PL" in
-     addf "Fig10/response" "XDGL < Node2PL under updates" "XDGL stays low"
-       (Printf.sprintf "%.1f vs %.1f ms -> %s" lo hi
-          (if lo < hi then "OK" else "MISMATCH"));
-     let d_x, d_n = check_pair dls ~expect_lower:"DTX (XDGL)" ~expect_higher:"DTX/Node2PL" in
-     addf "Fig10/deadlocks" "XDGL >= Node2PL" "finer locks -> more deadlocks"
-       (Printf.sprintf "%.1f vs %.1f -> %s" d_x d_n
-          (if d_x >= d_n then "OK" else "MISMATCH"))
-   | _ -> ());
-  let f12 = fig12 ~quick () in
-  (match f12 with
-   | [ tp; _ ] ->
-     (match (find_series tp "DTX (XDGL)", find_series tp "DTX/Node2PL") with
-      | Some x, Some n ->
-        let mk s = match List.rev s.points with (t, y) :: _ -> (t, y) | [] -> (0., 0.) in
-        let tx, cx = mk x and tn, cn = mk n in
-        addf "Fig12/throughput" "XDGL finishes much earlier"
-          "order-of-magnitude faster completion"
-          (Printf.sprintf "XDGL: %.0f txns by %.0f ms; Node2PL: %.0f txns by %.0f ms -> %s"
-             cx tx cn tn
-             (if tx < tn then "OK" else "MISMATCH"))
-      | _ -> ())
-   | _ -> ());
-  ignore last_point;
-  List.rev !rows
+     let x, n = xdgl_vs_node2pl resp in
+     row "Fig10/response" "XDGL < Node2PL under updates" "XDGL stays low"
+       (Printf.sprintf "%.1f vs %.1f ms" x n)
+       (x < n);
+     let x, n = xdgl_vs_node2pl dls in
+     row "Fig10/deadlocks" "XDGL >= Node2PL" "finer locks -> more deadlocks"
+       (Printf.sprintf "%.1f vs %.1f" x n)
+       (x >= n)
+   | _ -> invalid_arg "Experiments.summary");
+  match fig12 ~quick with
+  | { series = [ x; n ]; _ } :: _ ->
+    let last s = match List.rev s.points with p :: _ -> p | [] -> (0., 0.) in
+    let (tx, cx), (tn, cn) = (last x, last n) in
+    row "Fig12/throughput" "XDGL finishes much earlier"
+      "order-of-magnitude faster completion"
+      (Printf.sprintf "XDGL: %.0f txns by %.0f ms; Node2PL: %.0f txns by %.0f ms"
+         cx tx cn tn)
+      (tx < tn)
+  | _ -> invalid_arg "Experiments.summary"
+
+(* ------------------------------------------------------------------ *)
+
+(* An aligned text table with one row per case, followed by a blank line;
+   every column is as wide as its widest cell. *)
+let pp_table ppf title header cases row =
+  let rows = List.map row cases in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w cell -> max w (String.length cell)))
+      (List.map String.length header) rows
+  in
+  let line cells =
+    String.concat "  " (List.map2 (Printf.sprintf "%-*s") widths cells)
+  in
+  Format.fprintf ppf "== %s ==@." title;
+  List.iter
+    (fun cells -> Format.fprintf ppf "%s@." (String.trim (line cells)))
+    (header :: rows);
+  Format.fprintf ppf "@."
+
+(* Design-choice ablations around the paper's defaults (20 clients, 16 MB):
+   detection period, protocol, retries, seed sensitivity, deadlock policy,
+   commit protocol, LAN vs WAN and replica count. *)
+let ablation ppf =
+  let base = { Workload.default_params with n_clients = 20; base_size_mb = 16.0 } in
+  let ms = Printf.sprintf "%.1f" and int = string_of_int in
+  let mean r = ms (mean_response r) in
+  pp_table ppf "Ablation: deadlock-detection period"
+    [ "period(ms)"; "mean(ms)"; "deadlocks"; "committed" ]
+    [ 10.0; 40.0; 160.0; 640.0 ]
+    (fun period ->
+      let r = Workload.run { base with deadlock_period_ms = period } in
+      [ Printf.sprintf "%.0f" period; mean r; int r.Workload.deadlocks;
+        int r.Workload.committed ]);
+  pp_table ppf "Ablation: protocol (incl. Doc2PL full-document locking)"
+    [ "protocol"; "mean(ms)"; "deadlocks"; "committed"; "lock reqs" ]
+    [ Protocol.xdgl; Protocol.node2pl; Protocol.doc2pl; Protocol.tadom;
+      Protocol.xdgl_value ]
+    (fun kind ->
+      let r = Workload.run { base with protocol = kind } in
+      [ Protocol.kind_to_string kind; mean r; int r.Workload.deadlocks;
+        int r.Workload.committed; int r.Workload.lock_requests ]);
+  pp_table ppf "Ablation: client retries after abort"
+    [ "retries"; "committed"; "not-exec"; "makespan(ms)" ]
+    [ 0; 1; 3 ]
+    (fun retries ->
+      let r = Workload.run { base with retries; update_txn_pct = 40 } in
+      [ int retries; int r.Workload.committed; int r.Workload.not_executed;
+        ms r.Workload.makespan_ms ]);
+  pp_table ppf "Seed sensitivity (3 seeds per configuration)"
+    [ "configuration"; "seeds"; "mean(ms)"; "sd"; "deadlocks"; "sd";
+      "committed"; "makespan(ms)" ]
+    [ ("XDGL/20%upd", base);
+      ("Node2PL/20%upd", { base with protocol = Protocol.node2pl });
+      ("XDGL/40%upd", { base with update_txn_pct = 40 }) ]
+    (fun (label, p) ->
+      let a = Workload.run_many p in
+      let resp = a.Workload.mean_response in
+      [ label; int (List.length a.Workload.runs); ms resp.Dtx_util.Stats.mean;
+        ms resp.Dtx_util.Stats.stddev; ms a.Workload.mean_deadlocks;
+        ms a.Workload.sd_deadlocks; ms a.Workload.mean_committed;
+        ms a.Workload.mean_makespan ]);
+  pp_table ppf "Ablation: deadlock policy (paper future work: deadlock study)"
+    [ "policy"; "mean(ms)"; "dl aborts"; "makespan"; "committed" ]
+    [ ("detection", Dtx.Site.Detection); ("wait-die", Dtx.Site.Wait_die);
+      ("wound-wait", Dtx.Site.Wound_wait) ]
+    (fun (name, policy) ->
+      let r =
+        Workload.run { base with deadlock_policy = policy; update_txn_pct = 40 }
+      in
+      [ name; mean r; int r.Workload.deadlocks; ms r.Workload.makespan_ms;
+        int r.Workload.committed ]);
+  let commits =
+    List.map
+      (fun (name, two_phase) ->
+        (name, Workload.run { base with two_phase_commit = two_phase }))
+      [ ("1-phase", false); ("2-phase", true) ]
+  in
+  pp_table ppf "Ablation: commit protocol (paper future work: atomicity via 2PC)"
+    [ "commit"; "mean(ms)"; "makespan"; "messages"; "net bytes" ]
+    commits
+    (fun (name, r) ->
+      [ name; mean r; ms r.Workload.makespan_ms; int r.Workload.messages;
+        int r.Workload.net_bytes ]);
+  (* Per-message-type traffic: where the extra 2PC round shows up. *)
+  List.iter
+    (fun (name, r) ->
+      pp_table ppf (name ^ " traffic by message type")
+        [ "message"; "sent"; "dropped"; "bytes" ]
+        r.Workload.traffic
+        (fun (t : Dtx_net.Net.traffic) ->
+          [ Dtx_net.Msg.Kind.to_string t.t_kind; int t.t_sent;
+            int t.t_dropped; int t.t_bytes ]))
+    commits;
+  pp_table ppf "Ablation: LAN vs WAN (paper future work: WAN environments)"
+    [ "link"; "mean(ms)"; "p95(ms)"; "makespan"; "deadlocks" ]
+    [ ("lan", Dtx_net.Net.Config.lan); ("wan", Dtx_net.Net.Config.wan) ]
+    (fun (name, net_config) ->
+      let r = Workload.run { base with net_config } in
+      [ name; mean r; ms r.Workload.response.Dtx_util.Stats.p95;
+        ms r.Workload.makespan_ms; int r.Workload.deadlocks ]);
+  pp_table ppf "Ablation: replica copies under partial replication"
+    [ "copies"; "mean(ms)"; "messages"; "committed" ]
+    [ 1; 2; 3 ]
+    (fun copies ->
+      let r =
+        Workload.run { base with replication = Allocation.Partial { copies } }
+      in
+      [ int copies; mean r; int r.Workload.messages; int r.Workload.committed ])
+
+(* ------------------------------------------------------------------ *)
+
+type target =
+  | Figures of (quick:bool -> figure list)
+  | Report of (quick:bool -> Format.formatter -> unit)
+
+let all ~quick =
+  fig9 ~quick @ fig10 ~quick @ fig11a ~quick @ fig11b ~quick @ fig12 ~quick
+
+let targets =
+  [ ("fig9", Figures fig9); ("fig10", Figures fig10);
+    ("fig11a", Figures fig11a); ("fig11b", Figures fig11b);
+    ("fig12", Figures fig12); ("all", Figures all);
+    ("summary", Report summary);
+    ("ablation", Report (fun ~quick:_ ppf -> ablation ppf)) ]
+
+let run ?export ~quick ppf = function
+  | Figures driver ->
+    Option.iter
+      (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+      export;
+    List.iter
+      (fun f ->
+        Format.fprintf ppf "%a@.@." pp_figure f;
+        Option.iter
+          (fun dir -> Format.fprintf ppf "[wrote %s]@." (write_csv ~dir f))
+          export)
+      (driver ~quick)
+  | Report report -> report ~quick ppf

@@ -1,9 +1,11 @@
-(** Drivers that regenerate every evaluation figure of the paper (§3.2).
+(** The paper's evaluation (§3.2): drivers that regenerate every figure,
+    the qualitative-claims summary and the design ablations, behind one
+    target table that [dtx_cli experiment] runs.
 
-    Each driver returns a {!figure}: labelled series of (x, y) points that
-    correspond one-to-one to the curves of the paper's chart. The [quick]
-    flag shrinks client counts and database sizes (for tests and smoke runs)
-    without changing the curves' qualitative shape.
+    Each figure driver returns {!figure}s: labelled series of (x, y) points
+    that correspond one-to-one to the curves of the paper's chart. The
+    [quick] flag shrinks client counts and database sizes (for tests and
+    smoke runs) without changing the curves' qualitative shape.
 
     | Paper figure | Driver | x-axis | y-axis |
     |--------------|--------|--------|--------|
@@ -26,32 +28,25 @@ type figure = {
   series : series list;
 }
 
-val fig9 : ?quick:bool -> unit -> figure list
+val fig9 : quick:bool -> figure list
 (** Response time vs number of clients (10–50), read-only transactions,
     XDGL vs Node2PL × total vs partial replication. Two figures (one per
     replication mode). *)
 
-val fig10 : ?quick:bool -> unit -> figure list
+val fig10 : quick:bool -> figure list
 (** Response time and deadlock count vs update-transaction percentage
     (20–60 %), 50 clients, partial replication. Two figures. *)
 
-val fig11a : ?quick:bool -> unit -> figure list
+val fig11a : quick:bool -> figure list
 (** Response time and deadlocks vs base size (50–200 MB). Two figures. *)
 
-val fig11b : ?quick:bool -> unit -> figure list
+val fig11b : quick:bool -> figure list
 (** Response time and deadlocks vs number of sites (2–8). Two figures. *)
 
-val fig12 : ?quick:bool -> unit -> figure list
+val fig12 : quick:bool -> figure list
 (** Cumulative committed transactions over time and concurrency degree over
     time, for both protocols (250 transactions, 4 sites, partial
     replication). Two figures. *)
-
-val all : ?quick:bool -> unit -> figure list
-(** Every figure, in paper order. *)
-
-val named : string -> (quick:bool -> figure list) option
-(** The driver a command line names: ["fig9"], ["fig10"], ["fig11a"],
-    ["fig11b"], ["fig12"] or ["all"]. *)
 
 val pp_figure : Format.formatter -> figure -> unit
 (** Render a figure as an aligned text table (series as columns) followed by
@@ -61,11 +56,19 @@ val to_csv : figure -> string
 (** The figure as CSV: header [x,<label>,...], one row per x value (missing
     points empty). Ready for gnuplot/spreadsheet plotting. *)
 
-val write_csv : dir:string -> figure -> string
-(** Write {!to_csv} to [<dir>/<figure id>.csv] (creating [dir]); returns the
-    path. *)
+type target
 
-val summary_table :
-  ?quick:bool -> unit -> (string * string * string * string) list
-(** [(figure, check, expectation, observed)] rows asserting the paper's
-    qualitative claims against a quick run — the EXPERIMENTS.md evidence. *)
+val targets : (string * target) list
+(** Every evaluation target by name: ["fig9"], ["fig10"], ["fig11a"],
+    ["fig11b"], ["fig12"], ["all"] (every figure, in paper order),
+    ["summary"] (the paper's qualitative claims checked against fresh runs
+    of Figs. 9, 10 and 12) and ["ablation"] (design-choice ablations at one
+    fixed size: detection period, protocol, retries, seed sensitivity,
+    deadlock policy, commit protocol, LAN vs WAN, replica count). *)
+
+val run : ?export:string -> quick:bool -> Format.formatter -> target -> unit
+(** Run a target and print it. Figures print with {!pp_figure}; with
+    [export] each is also written as [<export>/<figure id>.csv] (the
+    directory is created first if missing). [quick] shrinks the figure runs
+    and is ignored by ["ablation"]. @raise Sys_error if a CSV cannot be
+    written. *)

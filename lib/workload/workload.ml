@@ -315,10 +315,3 @@ let run_many ?(seeds = [ 7; 107; 207 ]) p =
     mean_committed =
       Stats.mean (List.map (fun r -> float_of_int r.committed) runs);
     mean_makespan = Stats.mean (List.map (fun r -> r.makespan_ms) runs) }
-
-let pp_aggregate ppf a =
-  Format.fprintf ppf
-    "%d seeds: response %.1f ms (sd %.1f), deadlocks %.1f (sd %.1f), committed %.1f, makespan %.1f ms"
-    (List.length a.runs) a.mean_response.Stats.mean
-    a.mean_response.Stats.stddev a.mean_deadlocks a.sd_deadlocks
-    a.mean_committed a.mean_makespan

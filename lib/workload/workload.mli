@@ -136,5 +136,3 @@ type aggregate = {
 val run_many : ?seeds:int list -> params -> aggregate
 (** [run_many p] runs [p] once per seed (default [[7; 107; 207]],
     overriding [p.seed]) and aggregates. *)
-
-val pp_aggregate : Format.formatter -> aggregate -> unit

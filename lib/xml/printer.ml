@@ -67,6 +67,3 @@ let node_to_string ?(indent = true) n =
 let to_string ?(indent = true) ?(decl = true) (doc : Doc.t) =
   let header = if decl then "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n" else "" in
   header ^ node_to_string ~indent doc.Doc.root
-
-let byte_size (doc : Doc.t) =
-  String.length (to_string ~indent:false ~decl:false doc)

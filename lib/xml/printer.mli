@@ -12,7 +12,3 @@ val node_to_string : ?indent:bool -> Node.t -> string
 val to_string : ?indent:bool -> ?decl:bool -> Doc.t -> string
 (** Serialize a whole document; [decl] (default [true]) prefixes the
     [<?xml ...?>] declaration. *)
-
-val byte_size : Doc.t -> int
-(** Length of the unindented serialization; the simulator's stand-in for the
-    paper's "database size in MB". *)

@@ -33,17 +33,6 @@ let test_vec_set_bounds () =
   Alcotest.check_raises "set oob" (Invalid_argument "Vec.set") (fun () ->
       Vec.set v (-1) 0)
 
-let test_vec_filter_in_place () =
-  let v = Vec.of_list [ 1; 2; 3; 4; 5; 6 ] in
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check (list int)) "evens kept in order" [ 2; 4; 6 ] (Vec.to_list v)
-
-let test_vec_swap_remove () =
-  let v = Vec.of_list [ 10; 20; 30; 40 ] in
-  check "removed" 20 (Vec.swap_remove v 1);
-  check "len" 3 (Vec.length v);
-  Alcotest.(check (list int)) "last moved in" [ 10; 40; 30 ] (Vec.to_list v)
-
 let test_vec_iterators () =
   let v = Vec.of_list [ 1; 2; 3 ] in
   check "fold" 6 (Vec.fold_left ( + ) 0 v);
@@ -334,8 +323,6 @@ let () =
         [ Alcotest.test_case "push/get" `Quick test_vec_push_get;
           Alcotest.test_case "pop" `Quick test_vec_pop;
           Alcotest.test_case "bounds" `Quick test_vec_set_bounds;
-          Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           Alcotest.test_case "make/clear" `Quick test_vec_make_clear ] );
       ( "heap",

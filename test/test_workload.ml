@@ -123,7 +123,7 @@ let test_invalid_params () =
 (* --- experiment drivers --------------------------------------------------- *)
 
 let test_fig_drivers_shape () =
-  let figs = Experiments.fig10 ~quick:true () in
+  let figs = Experiments.fig10 ~quick:true in
   check "fig10 -> two charts" 2 (List.length figs);
   List.iter
     (fun (f : Experiments.figure) ->
@@ -135,7 +135,7 @@ let test_fig_drivers_shape () =
     figs
 
 let test_fig12_driver () =
-  let figs = Experiments.fig12 ~quick:true () in
+  let figs = Experiments.fig12 ~quick:true in
   check "two charts" 2 (List.length figs);
   let tp = List.hd figs in
   List.iter
@@ -147,7 +147,7 @@ let test_fig12_driver () =
     tp.Experiments.series
 
 let test_csv_export () =
-  let figs = Experiments.fig10 ~quick:true () in
+  let figs = Experiments.fig10 ~quick:true in
   let f = List.hd figs in
   let csv = Experiments.to_csv f in
   let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
@@ -158,7 +158,7 @@ let test_csv_export () =
      && String.split_on_char ',' h |> List.length = 3)
 
 let test_pp_figure_renders () =
-  let figs = Experiments.fig10 ~quick:true () in
+  let figs = Experiments.fig10 ~quick:true in
   List.iter
     (fun f ->
       let s = Format.asprintf "%a" Experiments.pp_figure f in

@@ -176,10 +176,6 @@ let test_print_attributes_roundtrip () =
 let test_escape () =
   checks "escaped" "&amp;&lt;&gt;&quot;&apos;" (Printer.escape "&<>\"'")
 
-let test_byte_size_positive () =
-  let doc = Parser.parse ~name:"d" sample in
-  checkb "bytes > 0" true (Printer.byte_size doc > 50)
-
 (* Random tree generator for the round-trip property. *)
 type tree = T of string * string option * tree list
 
@@ -257,8 +253,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors ] );
       ( "printer",
         [ Alcotest.test_case "roundtrip" `Quick test_print_attributes_roundtrip;
-          Alcotest.test_case "escape" `Quick test_escape;
-          Alcotest.test_case "byte size" `Quick test_byte_size_positive ] );
+          Alcotest.test_case "escape" `Quick test_escape ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_indented_roundtrip ] ) ]
