@@ -811,8 +811,9 @@ let experiment_cmd =
              ~doc:("The evaluation to run: "
                    ^ doc_alts_enum Experiments.targets
                    ^ ". $(b,all) prints every figure, $(b,summary) checks \
-                      the paper's qualitative claims, $(b,ablation) runs \
-                      the design ablations."))
+                      the paper's qualitative claims (exit 1 if one \
+                      prints MISMATCH), $(b,ablation) runs the design \
+                      ablations."))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale.") in
   let export =
@@ -820,8 +821,10 @@ let experiment_cmd =
            ~doc:"Also write each figure as $(docv)/<figure id>.csv.")
   in
   let run target quick export =
-    try Experiments.run ?export ~quick Format.std_formatter target
-    with Sys_error msg ->
+    match Experiments.run ?export ~quick Format.std_formatter target with
+    | true -> ()
+    | false -> exit 1
+    | exception Sys_error msg ->
       Printf.eprintf "dtx_cli: cannot export: %s\n" msg;
       exit 1
   in

@@ -66,9 +66,9 @@ val targets : (string * target) list
     fixed size: detection period, protocol, retries, seed sensitivity,
     deadlock policy, commit protocol, LAN vs WAN, replica count). *)
 
-val run : ?export:string -> quick:bool -> Format.formatter -> target -> unit
+val run : ?export:string -> quick:bool -> Format.formatter -> target -> bool
 (** Run a target and print it. Figures print with {!pp_figure}; with
     [export] each is also written as [<export>/<figure id>.csv] (the
     directory is created first if missing). [quick] shrinks the figure runs
-    and is ignored by ["ablation"]. @raise Sys_error if a CSV cannot be
-    written. *)
+    and is ignored by ["ablation"]. [false] iff a ["summary"] row printed
+    MISMATCH. @raise Sys_error if a CSV cannot be written. *)

@@ -92,14 +92,15 @@ type client = {
   mutable retries_left : int;
 }
 
+(* [fragments] pairs each generator fragment with its id pools. *)
 let gen_transaction p (cl : client) fragments fresh =
   let update_txn = Rng.pct cl.rng p.update_txn_pct in
   List.init p.ops_per_txn (fun _ ->
-      let doc = Rng.pick cl.rng fragments in
+      let doc, pools = Rng.pick cl.rng fragments in
       let op =
         if update_txn && Rng.pct cl.rng p.update_op_pct then
-          Queries.gen_update cl.rng ~fresh doc
-        else Queries.gen_query cl.rng doc
+          Queries.gen_update cl.rng ~fresh pools
+        else Queries.gen_query cl.rng pools
       in
       (doc.Doc.name, op))
 
@@ -143,9 +144,9 @@ let run ?instrument ?database p =
       db
     | None -> build_database p
   in
-  let fragments = db.db_fragments in
   let placements =
-    Allocation.allocate ~n_sites:p.n_sites p.replication (Array.to_list fragments)
+    Allocation.allocate ~n_sites:p.n_sites p.replication
+      (Array.to_list db.db_fragments)
   in
   let sim = Sim.create () in
   let net = Net.of_config ~sim p.net_config in
@@ -163,6 +164,9 @@ let run ?instrument ?database p =
   let cluster = Cluster.create ~sim ~net ~n_sites:p.n_sites config ~placements in
   Cluster.shutdown_when_idle cluster;
   (match instrument with Some f -> f cluster | None -> ());
+  (* The generator's id pools, one walk per fragment. Sites hold clones, so
+     these fragments never change and the pools stay exact for the run. *)
+  let fragments = Array.map (fun d -> (d, Queries.pools d)) db.db_fragments in
   (* Unique suffixes for inserted entities, across all clients. *)
   let fresh_counter = ref 0 in
   let fresh () =

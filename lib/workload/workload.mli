@@ -93,7 +93,9 @@ val run :
     [database], which is checked against [params] and rejected on mismatch.
     [instrument] runs on the freshly built cluster before any transaction
     is submitted — the hook the [Dtx_check] analyzer (and the history-based
-    tests) attach through. *)
+    tests) attach through. The generator's per-fragment id pools
+    ({!Dtx_xmark.Queries.pools}) are built after the hook, in the run
+    phase, once per fragment. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One-paragraph human-readable summary. *)

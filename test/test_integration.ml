@@ -152,8 +152,9 @@ let run_random_cluster ~protocol ~seed ~n_txns =
       List.init 3 (fun _ ->
           let doc = Rng.pick rng frag_arr in
           let op =
-            if Rng.pct rng 40 then Queries.gen_update rng ~fresh doc
-            else Queries.gen_query rng doc
+            let pools = Queries.pools doc in
+            if Rng.pct rng 40 then Queries.gen_update rng ~fresh pools
+            else Queries.gen_query rng pools
           in
           (doc.Doc.name, op))
     in
@@ -351,8 +352,9 @@ let prop_random_configs_hold_invariants =
           List.init 2 (fun _ ->
               let doc = Rng.pick rng frag_arr in
               let op =
-                if Rng.pct rng 50 then Queries.gen_update rng ~fresh doc
-                else Queries.gen_query rng doc
+                let pools = Queries.pools doc in
+                if Rng.pct rng 50 then Queries.gen_update rng ~fresh pools
+                else Queries.gen_query rng pools
               in
               (doc.Doc.name, op))
         in

@@ -665,7 +665,7 @@ let prop_xdgl_locks_cover_modifications =
       let rng = Rng.create (seed + 13) in
       let counter = ref 0 in
       let fresh () = incr counter; !counter in
-      let op = Generator_q.gen_update rng ~fresh doc in
+      let op = Generator_q.gen_update rng ~fresh (Generator_q.pools doc) in
       let requests = xdgl_requests dg op in
       match Exec.apply doc op with
       | Error _ -> true (* nothing modified, nothing to cover *)

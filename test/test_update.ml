@@ -302,7 +302,7 @@ let prop_apply_undo_identity =
       let before = snapshot doc in
       let effs = ref [] in
       for _ = 1 to n_ops do
-        let op = Queries.gen_update rng ~fresh doc in
+        let op = Queries.gen_update rng ~fresh (Queries.pools doc) in
         match Exec.apply doc op with
         | Ok eff -> effs := eff :: !effs
         | Error _ -> () (* e.g. removing an id a previous op removed *)
@@ -322,7 +322,7 @@ let prop_dg_maintained_under_updates =
       let fresh () = incr counter; !counter in
       let ok = ref true in
       for _ = 1 to n_ops do
-        let op = Queries.gen_update rng ~fresh doc in
+        let op = Queries.gen_update rng ~fresh (Queries.pools doc) in
         match Exec.apply doc op with
         | Ok eff ->
           List.iter

@@ -102,9 +102,10 @@ let test_adapted_queries_parse () =
 
 let test_gen_query_runs () =
   let doc = Generator.generate (Generator.params_of_nodes 800) in
+  let pools = Queries.pools doc in
   let rng = Rng.create 5 in
   for _ = 1 to 100 do
-    match Queries.gen_query rng doc with
+    match Queries.gen_query rng pools with
     | Op.Query p -> ignore (Eval.select doc p)
     | op -> Alcotest.failf "not a query: %s" (Op.to_string op)
   done
@@ -116,7 +117,7 @@ let test_gen_update_applies () =
   let fresh () = incr counter; !counter in
   let applied = ref 0 in
   for _ = 1 to 60 do
-    let op = Queries.gen_update rng ~fresh doc in
+    let op = Queries.gen_update rng ~fresh (Queries.pools doc) in
     checkb "is update" true (Op.is_update op);
     match Exec.apply doc op with
     | Ok _ -> incr applied
@@ -139,13 +140,81 @@ let test_gen_update_on_fragment () =
   List.iter
     (fun frag ->
       for _ = 1 to 25 do
-        let op = Queries.gen_update rng ~fresh frag in
+        let op = Queries.gen_update rng ~fresh (Queries.pools frag) in
         match Exec.apply frag op with
         | Ok _ -> ()
         | Error (Exec.Target_not_found _) -> ()
         | Error e -> Alcotest.failf "%s" (Exec.error_to_string e)
       done)
     frags
+
+(* The pools hold the ids [Generator]'s id functions list, in the same
+   order, and the region elements under [regions]. *)
+let test_pools_match_fragment () =
+  let base = Generator.generate (Generator.params_of_mb 4.0) in
+  let frags = Fragment.fragment base ~parts:4 in
+  let ids = Alcotest.(check (array string)) in
+  let region_count = ref 0 in
+  List.iter
+    (fun (frag : Doc.t) ->
+      let pools = Queries.pools frag in
+      ids "persons" (Array.of_list (Generator.person_ids frag)) pools.persons;
+      ids "items" (Array.of_list (Generator.item_ids frag)) pools.items;
+      ids "auctions"
+        (Array.of_list (Generator.open_auction_ids frag))
+        pools.auctions;
+      let under_regions =
+        Eval.select frag (P.parse "/site/regions/*")
+        |> List.map (fun n -> n.Node.label)
+        |> List.filter (fun l -> List.mem l Generator.regions)
+      in
+      ids "regions" (Array.of_list under_regions) pools.regions;
+      region_count := !region_count + Array.length pools.regions;
+      checkb "fragment has persons" true (pools.persons <> [||]))
+    frags;
+  (* Each region is one fragmentation unit, so exactly one fragment has it. *)
+  check "every region once" (List.length Generator.regions) !region_count
+
+(* A fragment with no items and no auctions: queries fall back to the
+   placeholder ids, and updates never target an item or an auction. *)
+let test_pools_without_items_or_auctions () =
+  let frag =
+    Dtx_xml.Parser.parse ~name:"bare"
+      "<site><regions><europe/></regions><people><person id=\"p3\"><name>P</name></person></people><open_auctions/></site>"
+  in
+  let pools = Queries.pools frag in
+  check "no items" 0 (Array.length pools.items);
+  check "no auctions" 0 (Array.length pools.auctions);
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  let rng = Rng.create 11 in
+  let item_q = ref 0 and auction_q = ref 0 in
+  for _ = 1 to 200 do
+    let text = Op.to_string (Queries.gen_query rng pools) in
+    if contains text "item[@id" then begin
+      incr item_q;
+      checkb ("item fallback: " ^ text) true (contains text "\"i0\"")
+    end;
+    if contains text "open_auction[@id" then begin
+      incr auction_q;
+      checkb ("auction fallback: " ^ text) true (contains text "\"oa0\"")
+    end
+  done;
+  checkb "item queries drawn" true (!item_q > 0);
+  checkb "auction queries drawn" true (!auction_q > 0);
+  let counter = ref 0 in
+  let fresh () = incr counter; !counter in
+  for _ = 1 to 200 do
+    match Queries.gen_update rng ~fresh pools with
+    | Op.Insert { target; pos = Op.Into; _ } ->
+      let t = Dtx_xpath.Ast.to_string target in
+      checkb ("insert target: " ^ t) true
+        (t = "/site/people" || t = "/site/regions/europe")
+    | op -> Alcotest.failf "item or auction operation offered: %s" (Op.to_string op)
+  done
 
 let prop_scaling_monotone =
   QCheck.Test.make ~name:"bigger parameter targets give bigger documents"
@@ -174,4 +243,7 @@ let () =
         [ Alcotest.test_case "adapted queries parse" `Quick test_adapted_queries_parse;
           Alcotest.test_case "gen_query runs" `Quick test_gen_query_runs;
           Alcotest.test_case "gen_update applies" `Quick test_gen_update_applies;
-          Alcotest.test_case "fragment-aware updates" `Quick test_gen_update_on_fragment ] ) ]
+          Alcotest.test_case "fragment-aware updates" `Quick test_gen_update_on_fragment;
+          Alcotest.test_case "pools match fragment" `Quick test_pools_match_fragment;
+          Alcotest.test_case "pools without items or auctions" `Quick
+            test_pools_without_items_or_auctions ] ) ]
