@@ -356,7 +356,7 @@ let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
         Commute_rules.prepare cr
           (Array.map (fun (_, op) -> (universe_name, op)) ops)
       in
-      fun i j -> Commute_rules.decide_prepared cr prepared.(i) prepared.(j)
+      fun i j -> Commute_rules.decide_prepared prepared.(i) prepared.(j)
     end
   in
   let n = Array.length ops in

@@ -42,7 +42,14 @@ val admit : t -> txn:int -> ops:(string * Dtx_update.Op.t) array -> bool array
 (** Classify a submitting transaction against every active one and register
     it. Returns the per-operation optimistic flags (a copy). May invalidate
     active transactions whose optimistic assumption this admission
-    breaks. *)
+    breaks.
+
+    An active transaction is skipped outright unless the two share a
+    document on which at least one of them updates: every other pair of
+    operations is on different documents or is two queries, and those
+    commute. Each entry keeps its sorted documents and a per-document
+    update flag for this test, so it holds for any number of documents.
+    Only the transactions left are compared operation by operation. *)
 
 val invalidated : t -> txn:int -> string option
 (** The invalidation reason, if a later admission broke this transaction's

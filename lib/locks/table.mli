@@ -19,13 +19,14 @@
     edges). Re-acquiring a mode already held is counted, so releases on undo
     are balanced. *)
 
-type resource
-(** Packed (doc, node, value) key. Equality and polymorphic compare behave
-    like integer comparison; use the accessors below to recover the
-    components. The value dimension serves XDGL's logical/value locks:
-    [(node, Some v)] resources are disjoint from [(node, None)] and from
-    other values, so predicate readers of one value never collide with
-    writers of another. *)
+type resource = private int
+(** Packed (doc, node, value) key, below [2^59]: its integer order is the
+    resource order, so code that sorts or merges footprints can coerce it
+    with [:> int]. Use the accessors below to recover the components. The
+    value dimension serves XDGL's logical/value locks: [(node, Some v)]
+    resources are disjoint from [(node, None)] and from other values, so
+    predicate readers of one value never collide with writers of
+    another. *)
 
 val resource : string -> int -> resource
 (** Plain structural resource (no value dimension). Node ids must fit 28

@@ -71,20 +71,23 @@ val decide :
     [Unknown]. *)
 
 type prepared
-(** An operation with its footprint and virtual-read set derived once, so
-    repeated pairwise decisions stop re-deriving locks. *)
-
-val prepared_doc : prepared -> string
-(** The document the prepared operation targets. *)
+(** An operation with its footprint and virtual-read set derived once and
+    compiled: one slot per distinct resource, in ascending resource order,
+    holding the union of the modes taken there and the union of their
+    conflict masks. *)
 
 val prepare : t -> (string * Dtx_update.Op.t) array -> prepared array
-(** Derive every operation's footprint once, after a warm-up pass that
-    drives the DataGuide's insert-target growth to its fixed point, so each
-    pairwise verdict is decided against one consistent schema state. *)
+(** Derive and compile every operation's footprint once, after a warm-up
+    pass that drives the DataGuide's insert-target growth to its fixed
+    point, so each pairwise verdict is decided against one consistent
+    schema state. *)
 
-val decide_prepared : t -> prepared -> prepared -> verdict
-(** {!decide} over pre-derived footprints; this is the O(1)-per-pair form
-    the runtime classifier uses against the set of active transactions. *)
+val decide_prepared : prepared -> prepared -> verdict
+(** {!decide} over compiled footprints: two operations on different
+    documents, or two queries, commute at once; otherwise one linear merge
+    of the two sorted resource arrays decides, with no allocation. This is
+    the form the runtime classifier runs against every operation of the
+    active transactions it cannot skip. *)
 
 val matrix :
   t -> (string * Dtx_update.Op.t) array -> verdict array array
