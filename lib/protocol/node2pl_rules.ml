@@ -11,9 +11,7 @@ let res (doc : Doc.t) (n : Node.t) = Table.resource doc.Doc.name n.Node.id
 (* Lock-coupling navigation: every node the evaluator examines costs one
    lock request, but the lock is released as the traversal moves on, so
    navigation contributes to [processed] only. *)
-let navigation_cost doc (p : Ast.path) =
-  let _, visited = Eval.select_traced doc p in
-  List.length visited
+let navigation_cost doc (p : Ast.path) = Eval.distinct_visited doc p
 
 (* [mode] on every node of [n]'s subtree, intention above [n] — these are
    the locks retained until transaction end. *)

@@ -18,7 +18,6 @@ type effect = {
   dg : dg_delta list;
   touched : int;
   result_count : int;
-  result_nodes : Node.t list;
 }
 
 type error = Target_not_found of string | Invalid_op of string
@@ -48,23 +47,17 @@ let is_ancestor_of ~(anc : Node.t) (n : Node.t) =
   in
   up n
 
-let select (doc : Doc.t) path =
-  let nodes = Eval.select doc path in
-  let visited = Eval.nodes_visited doc path in
-  (nodes, visited)
-
 let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
   match op with
   | Op.Query path ->
-    let nodes, visited = select doc path in
+    let nodes, visited = Eval.select_counted doc path in
     Ok
       { undo = [];
         dg = [];
         touched = visited;
-        result_count = List.length nodes;
-        result_nodes = nodes }
+        result_count = List.length nodes }
   | Op.Insert { target; pos; fragment } -> (
-    let targets, visited = select doc target in
+    let targets, visited = Eval.select_counted doc target in
     if targets = [] then Error (Target_not_found (Ast.to_string target))
     else
       match Xml_parser.parse_fragment fragment with
@@ -98,10 +91,9 @@ let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
           { undo = !undo;
             dg = !dg;
             touched = !touched;
-            result_count = List.length targets;
-            result_nodes = [] })
+            result_count = List.length targets })
   | Op.Remove path ->
-    let targets, visited = select doc path in
+    let targets, visited = Eval.select_counted doc path in
     if targets = [] then Error (Target_not_found (Ast.to_string path))
     else if List.exists (fun n -> n == doc.Doc.root) targets then
       Error (Invalid_op "cannot remove the document root")
@@ -129,11 +121,10 @@ let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
         { undo = !undo;
           dg = !dg;
           touched = !touched;
-          result_count = List.length !undo;
-          result_nodes = [] }
+          result_count = List.length !undo }
     end
   | Op.Rename { target; new_label } ->
-    let targets, visited = select doc target in
+    let targets, visited = Eval.select_counted doc target in
     if targets = [] then Error (Target_not_found (Ast.to_string target))
     else begin
       let undo = ref [] in
@@ -155,11 +146,10 @@ let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
         { undo = !undo;
           dg = !dg;
           touched = !touched;
-          result_count = List.length targets;
-          result_nodes = [] }
+          result_count = List.length targets }
     end
   | Op.Change { target; new_text } ->
-    let targets, visited = select doc target in
+    let targets, visited = Eval.select_counted doc target in
     if targets = [] then Error (Target_not_found (Ast.to_string target))
     else begin
       let undo = ref [] in
@@ -172,12 +162,11 @@ let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
         { undo = !undo;
           dg = [];
           touched = visited + List.length targets;
-          result_count = List.length targets;
-          result_nodes = [] }
+          result_count = List.length targets }
     end
   | Op.Transpose { source; dest } -> (
-    let sources, v1 = select doc source in
-    let dests, v2 = select doc dest in
+    let sources, v1 = Eval.select_counted doc source in
+    let dests, v2 = Eval.select_counted doc dest in
     if sources = [] then Error (Target_not_found (Ast.to_string source))
     else if dests = [] then Error (Target_not_found (Ast.to_string dest))
     else
@@ -216,8 +205,7 @@ let apply (doc : Doc.t) (op : Op.t) : (effect, error) result =
             { undo = !undo;
               dg = !dg;
               touched = !touched;
-              result_count = List.length !undo;
-              result_nodes = [] }
+              result_count = List.length !undo }
         end)
 
 let undo (doc : Doc.t) (entries : undo_entry list) : dg_delta list =

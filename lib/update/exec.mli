@@ -23,7 +23,6 @@ type effect = {
   dg : dg_delta list;  (** DataGuide maintenance for the forward direction *)
   touched : int;  (** document nodes visited or written — the cost proxy *)
   result_count : int;  (** query results or update targets affected *)
-  result_nodes : Dtx_xml.Node.t list;  (** query results (empty for updates) *)
 }
 
 type error =

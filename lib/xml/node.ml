@@ -70,7 +70,9 @@ let attribute n name =
 
 let rec iter f n =
   f n;
-  Vec.iter (iter f) n.children
+  for i = 0 to Vec.length n.children - 1 do
+    iter f (Vec.get n.children i)
+  done
 
 let fold f acc n =
   let acc = ref acc in
@@ -96,15 +98,19 @@ let ancestors n =
 let descendant_or_self n = List.rev (fold (fun acc x -> x :: acc) [] n)
 
 let text_content n =
-  let buf = Buffer.create 32 in
-  (* Attribute children are not part of an element's text, but asking for the
-     text of an attribute node itself must yield its value. *)
-  iter
-    (fun x ->
-      if x == n || not (is_attribute x) then
-        match x.text with Some s -> Buffer.add_string buf s | None -> ())
-    n;
-  Buffer.contents buf
+  (* A leaf's text is its own, whether it is an element or an attribute. *)
+  if Vec.is_empty n.children then Option.value n.text ~default:""
+  else begin
+    let buf = Buffer.create 32 in
+    (* Attribute children are not part of an element's text, but asking for
+       the text of an attribute node itself must yield its value. *)
+    iter
+      (fun x ->
+        if x == n || not (is_attribute x) then
+          match x.text with Some s -> Buffer.add_string buf s | None -> ())
+      n;
+    Buffer.contents buf
+  end
 
 let rec clone ~alloc n =
   let copy = make ~id:(alloc ()) ~label:n.label ?text:n.text () in

@@ -10,15 +10,19 @@ val select_from : Dtx_xml.Node.t -> Ast.path -> Dtx_xml.Node.t list
 (** [select_from ctx p] evaluates a relative path from [ctx]; an absolute
     path restarts from [ctx]'s root. *)
 
-val nodes_visited : Dtx_xml.Doc.t -> Ast.path -> int
-(** Number of tree nodes the evaluator touches — the simulator's cost proxy
-    for query execution work. *)
+val select_counted : Dtx_xml.Doc.t -> Ast.path -> Dtx_xml.Node.t list * int
+(** [select_counted doc p] is [(select doc p, nodes_visited doc p)] from a
+    single evaluation. *)
 
-val select_traced :
-  Dtx_xml.Doc.t -> Ast.path -> Dtx_xml.Node.t list * Dtx_xml.Node.t list
-(** [select_traced doc p] is [(results, visited)]: the result set plus every
-    node the evaluator examined while navigating (each node once). Navigation
-    locking protocols (Node2PL) lock the [visited] set. *)
+val nodes_visited : Dtx_xml.Doc.t -> Ast.path -> int
+(** Number of candidate nodes the evaluator examines, predicate
+    sub-evaluations included (a node met twice counts twice) — the
+    simulator's cost proxy for query execution work. *)
+
+val distinct_visited : Dtx_xml.Doc.t -> Ast.path -> int
+(** Number of distinct nodes the evaluator examines while navigating.
+    Navigation locking protocols (Node2PL) charge one lock request per such
+    node. *)
 
 val matches : Dtx_xml.Node.t -> Ast.path -> bool
 (** [matches n p] is [true] iff [n] is in the result of evaluating [p] over

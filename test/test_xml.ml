@@ -76,6 +76,27 @@ let test_text_content () =
    | Some a -> checks "attribute text" "4" (Node.text_content a)
    | None -> Alcotest.fail "no @id")
 
+(* A node without children answers with its own text and builds nothing;
+   the values must equal the concatenating walk's. *)
+let test_leaf_text_content () =
+  let doc =
+    Parser.parse ~name:"d" "<r><p id=\"7\"><n>Ana</n><e/></p></r>"
+  in
+  let p = List.hd (Node.children doc.Doc.root) in
+  (match Node.find_child p ~label:"@id" with
+   | Some a -> checks "attribute leaf" "7" (Node.text_content a)
+   | None -> Alcotest.fail "no @id");
+  (match Node.find_child p ~label:"n" with
+   | Some n -> checks "element leaf" "Ana" (Node.text_content n)
+   | None -> Alcotest.fail "no n");
+  (match Node.find_child p ~label:"e" with
+   | Some e -> checks "empty leaf" "" (Node.text_content e)
+   | None -> Alcotest.fail "no e");
+  checks "element with an attribute child skips it" "Ana" (Node.text_content p);
+  let bare = Node.make ~id:0 ~label:"b" () in
+  checks "detached bare node" "" (Node.text_content bare);
+  checks "text node" "t" (Node.text_content (Node.make ~id:1 ~label:"@a" ~text:"t" ()))
+
 let test_subtree_size_and_iter () =
   let doc = Parser.parse ~name:"d" sample in
   (* people + 2*(person + @id + name) = 7 *)
@@ -239,6 +260,7 @@ let () =
           Alcotest.test_case "paths/ancestors" `Quick test_paths_and_ancestors;
           Alcotest.test_case "attributes" `Quick test_attribute_access;
           Alcotest.test_case "text content" `Quick test_text_content;
+          Alcotest.test_case "leaf text content" `Quick test_leaf_text_content;
           Alcotest.test_case "subtree size/iter" `Quick test_subtree_size_and_iter;
           Alcotest.test_case "clone" `Quick test_clone_fresh_ids ] );
       ( "doc",

@@ -1,5 +1,6 @@
 (* Tests for the XPath subset: parser, printer inverse, evaluation semantics
-   (axes, wildcards, predicates), traced evaluation. *)
+   (axes, wildcards, predicates), visit counting, and the streaming evaluator
+   against the list-based one it replaced. *)
 
 module Ast = Dtx_xpath.Ast
 module P = Dtx_xpath.Parser
@@ -88,6 +89,155 @@ let test_roundtrip_to_string () =
       "//person[address/city = \"Natal\"]";
       "/site/open_auctions/open_auction[1]/bidder[2]" ]
 
+(* --- list-based reference evaluator --------------------------------------- *)
+
+(* The list-based evaluator that the streaming one replaced, kept verbatim
+   as a differential oracle: for every path the two must agree on the
+   results (order included), on the visit count the simulator charges as
+   execution cost, and on the set of nodes a traced evaluation examines. It
+   carries the Buffer-based [text_content] of that version too, so equality
+   predicates also check the leaf fast path of {!Node.text_content}. *)
+module Listwise = struct
+  let text_content (n : Node.t) =
+    let buf = Buffer.create 32 in
+    Node.iter
+      (fun x ->
+        if x == n || not (Node.is_attribute x) then
+          match x.Node.text with Some s -> Buffer.add_string buf s | None -> ())
+      n;
+    Buffer.contents buf
+
+  let test_matches (test : Ast.test) (n : Node.t) =
+    match test with
+    | Ast.Name name -> n.Node.label = name
+    | Ast.Wildcard -> not (Node.is_attribute n)
+    | Ast.Any -> true
+
+  let rec strict_descendants acc (n : Node.t) =
+    Dtx_util.Vec.fold_left
+      (fun acc c -> strict_descendants (c :: acc) c)
+      acc n.Node.children
+
+  let candidates ~counter ~trace ~leading_absolute (axis : Ast.axis) (ctx : Node.t) =
+    let nodes =
+      match axis with
+      | Ast.Child -> Node.children ctx
+      | Ast.Descendant ->
+        if leading_absolute then Node.descendant_or_self ctx
+        else List.rev (strict_descendants [] ctx)
+      | Ast.Parent -> (match ctx.Node.parent with Some p -> [ p ] | None -> [])
+      | Ast.Self -> [ ctx ]
+    in
+    counter := !counter + List.length nodes;
+    (match trace with
+     | Some sink -> List.iter sink nodes
+     | None -> ());
+    nodes
+
+  let rec apply_preds ~counter ~trace (preds : Ast.pred list) (nodes : Node.t list) =
+    match preds with
+    | [] -> nodes
+    | Ast.Pos k :: rest ->
+      let picked = match List.nth_opt nodes (k - 1) with Some n -> [ n ] | None -> [] in
+      apply_preds ~counter ~trace rest picked
+    | Ast.Last :: rest ->
+      let picked = match List.rev nodes with n :: _ -> [ n ] | [] -> [] in
+      apply_preds ~counter ~trace rest picked
+    | (Ast.Exists _ | Ast.Eq _ | Ast.Neq _ | Ast.And _ | Ast.Or _) as pred :: rest ->
+      apply_preds ~counter ~trace rest
+        (List.filter (fun n -> pred_holds ~counter ~trace n pred) nodes)
+
+  and pred_holds ~counter ~trace (n : Node.t) (pred : Ast.pred) =
+    match pred with
+    | Ast.Exists rel -> eval_rel ~counter ~trace n rel <> []
+    | Ast.Eq (rel, lit) ->
+      List.exists
+        (fun m -> text_content m = lit)
+        (eval_rel ~counter ~trace n rel)
+    | Ast.Neq (rel, lit) ->
+      List.exists
+        (fun m -> text_content m <> lit)
+        (eval_rel ~counter ~trace n rel)
+    | Ast.And (a, b) ->
+      pred_holds ~counter ~trace n a && pred_holds ~counter ~trace n b
+    | Ast.Or (a, b) ->
+      pred_holds ~counter ~trace n a || pred_holds ~counter ~trace n b
+    | Ast.Pos _ | Ast.Last -> invalid_arg "Eval: positional predicate in connective"
+
+  and eval_steps ~counter ~trace ~leading_absolute (ctxs : Node.t list)
+      (steps : Ast.step list) : Node.t list =
+    match steps with
+    | [] -> ctxs
+    | step :: rest ->
+      let seen = Hashtbl.create 16 in
+      let out = ref [] in
+      List.iter
+        (fun ctx ->
+          let cands =
+            candidates ~counter ~trace ~leading_absolute step.Ast.axis ctx
+          in
+          let matched = List.filter (test_matches step.Ast.test) cands in
+          let kept = apply_preds ~counter ~trace step.Ast.preds matched in
+          List.iter
+            (fun n ->
+              if not (Hashtbl.mem seen n.Node.id) then begin
+                Hashtbl.add seen n.Node.id ();
+                out := n :: !out
+              end)
+            kept)
+        ctxs;
+      eval_steps ~counter ~trace ~leading_absolute:false (List.rev !out) rest
+
+  and eval_rel ~counter ~trace (ctx : Node.t) (p : Ast.path) =
+    eval_steps ~counter ~trace ~leading_absolute:false [ ctx ] p.Ast.steps
+
+  let eval ~counter ~trace (root : Node.t) (p : Ast.path) =
+    match p.Ast.steps with
+    | [] -> if p.Ast.absolute then [ root ] else []
+    | first :: _ ->
+      if p.Ast.absolute then
+        match first.Ast.axis with
+        | Ast.Parent -> []
+        | Ast.Self ->
+          eval_steps ~counter ~trace ~leading_absolute:false [ root ]
+            (List.tl p.Ast.steps)
+        | Ast.Child ->
+          counter := !counter + 1;
+          (match trace with Some sink -> sink root | None -> ());
+          let matched =
+            if test_matches first.Ast.test root then
+              apply_preds ~counter ~trace first.Ast.preds [ root ]
+            else []
+          in
+          eval_steps ~counter ~trace ~leading_absolute:false matched
+            (List.tl p.Ast.steps)
+        | Ast.Descendant ->
+          eval_steps ~counter ~trace ~leading_absolute:true [ root ] p.Ast.steps
+      else eval_steps ~counter ~trace ~leading_absolute:false [ root ] p.Ast.steps
+
+  let select (doc : Doc.t) p =
+    let counter = ref 0 in
+    eval ~counter ~trace:None doc.Doc.root p
+
+  let nodes_visited (doc : Doc.t) p =
+    let counter = ref 0 in
+    ignore (eval ~counter ~trace:None doc.Doc.root p);
+    !counter
+
+  let select_traced (doc : Doc.t) p =
+    let counter = ref 0 in
+    let seen = Hashtbl.create 256 in
+    let acc = ref [] in
+    let sink (n : Node.t) =
+      if not (Hashtbl.mem seen n.Node.id) then begin
+        Hashtbl.add seen n.Node.id ();
+        acc := n :: !acc
+      end
+    in
+    let results = eval ~counter ~trace:(Some sink) doc.Doc.root p in
+    (results, List.rev !acc)
+end
+
 (* --- evaluation --------------------------------------------------------- *)
 
 let test_select_child_chain () =
@@ -156,12 +306,25 @@ let test_nodes_visited_positive () =
      >= Eval.nodes_visited doc (P.parse "//item"))
 
 let test_select_traced () =
-  let results, visited = Eval.select_traced doc (P.parse "/site/people/person") in
+  (* The navigation cost Node2PL charges: distinct nodes the traversal
+     examined, against the list-based evaluator's traced visit set. *)
+  let p = P.parse "/site/people/person" in
+  let results, visited = Listwise.select_traced doc p in
   check "results" 3 (List.length results);
   checkb "visited superset includes people section" true
     (List.exists (fun n -> n.Node.label = "people") visited);
   let ids = List.map (fun n -> n.Node.id) visited in
-  check "visited unique" (List.length ids) (List.length (List.sort_uniq compare ids))
+  check "visited unique" (List.length ids) (List.length (List.sort_uniq compare ids));
+  check "distinct_visited counts the traced set" (List.length visited)
+    (Eval.distinct_visited doc p);
+  (* A node examined twice (through two contexts, or by a predicate and
+     again by the step) is counted once. *)
+  let p2 = P.parse "//item/name/.." in
+  checkb "revisits make nodes_visited larger" true
+    (Eval.nodes_visited doc p2 > Eval.distinct_visited doc p2);
+  check "revisits counted once"
+    (List.length (snd (Listwise.select_traced doc p2)))
+    (Eval.distinct_visited doc p2)
 
 (* --- properties ---------------------------------------------------------- *)
 
@@ -377,6 +540,126 @@ let prop_eval_matches_oracle =
       let ids l = List.sort compare (List.map (fun (n : Node.t) -> n.Node.id) l) in
       ids (Eval.select doc path) = ids (Oracle.select doc path))
 
+(* --- streaming vs list-based evaluation ------------------------------------ *)
+
+let xmark =
+  Dtx_xmark.Generator.generate (Dtx_xmark.Generator.params_of_mb ~seed:3 1.0)
+
+(* Results in the same order, the same visit count (from [select_counted]
+   and from [nodes_visited]) and the same number of distinct traced nodes. *)
+let agrees_with_listwise d path =
+  let ids l = List.map (fun (n : Node.t) -> n.Node.id) l in
+  let results, visited = Eval.select_counted d path in
+  ids results = ids (Listwise.select d path)
+  && ids (Eval.select d path) = ids results
+  && visited = Listwise.nodes_visited d path
+  && Eval.nodes_visited d path = visited
+  && Eval.distinct_visited d path
+     = List.length (snd (Listwise.select_traced d path))
+
+let rel ?(axis = Ast.Child) names =
+  Ast.path ~absolute:false (List.map (fun n -> { (Ast.step n) with Ast.axis }) names)
+
+let parent_step = { Ast.axis = Ast.Parent; test = Ast.Any; preds = [] }
+let self_step = { Ast.axis = Ast.Self; test = Ast.Any; preds = [] }
+
+(* Texts of element nodes with element children, so [=] and [!=] on them
+   take the concatenating path of [text_content]. *)
+let description_text =
+  Node.text_content (List.hd (Listwise.select xmark (P.parse "//item/description")))
+
+let mail_text =
+  Node.text_content (List.hd (Listwise.select xmark (P.parse "//mailbox/mail")))
+
+let xmark_bool_preds =
+  [ Ast.Exists (rel [ "mail" ]);
+    Ast.Exists (rel [ "mailbox"; "mail" ]);
+    Ast.Exists (rel ~axis:Ast.Descendant [ "text" ]);
+    Ast.Exists (Ast.path ~absolute:false [ parent_step; Ast.step "people" ]);
+    Ast.Eq (rel [ "@id" ], "i1");
+    Ast.Neq (rel [ "@id" ], "i0");
+    Ast.Eq (rel [ "description" ], description_text);
+    Ast.Neq (rel [ "description" ], description_text);
+    Ast.Eq (rel [ "mail" ], mail_text);
+    Ast.Neq (rel [ "mailbox" ], "");
+    Ast.Eq (Ast.path ~absolute:false [ self_step ], description_text);
+    Ast.And (Ast.Exists (rel [ "name" ]), Ast.Neq (rel [ "@id" ], "i2"));
+    Ast.Or (Ast.Eq (rel [ "description" ], description_text), Ast.Exists (rel [ "mail" ])) ]
+
+let gen_xmark_pred =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl xmark_bool_preds);
+        (1, oneofl [ Ast.Pos 1; Ast.Pos 2; Ast.Last ]) ])
+
+let gen_xmark_step =
+  QCheck.Gen.(
+    let* kind = 0 -- 9 in
+    let* preds = 0 -- 2 >>= fun n -> list_repeat n gen_xmark_pred in
+    match kind with
+    | 0 -> return { parent_step with Ast.preds }
+    | 1 -> return { self_step with Ast.preds }
+    | _ ->
+      let* name =
+        oneofl
+          [ "site"; "regions"; "asia"; "europe"; "item"; "name"; "description";
+            "text"; "mailbox"; "mail"; "people"; "person"; "open_auctions";
+            "open_auction"; "bidder"; "*"; "@id" ]
+      in
+      let* desc = bool in
+      return
+        { (Ast.step name) with
+          Ast.axis = (if desc then Ast.Descendant else Ast.Child);
+          preds })
+
+let gen_xmark_path =
+  QCheck.Gen.(
+    let* n_steps = 1 -- 5 in
+    let* steps = list_repeat n_steps gen_xmark_step in
+    let* absolute = bool in
+    return { Ast.absolute; steps })
+
+let prop_streaming_matches_listwise_shop =
+  QCheck.Test.make ~name:"streaming = list-based evaluator (shop)" ~count:300
+    (QCheck.make ~print:Ast.to_string gen_random_path)
+    (agrees_with_listwise doc)
+
+let prop_streaming_matches_listwise_xmark =
+  QCheck.Test.make ~name:"streaming = list-based evaluator (XMark)" ~count:500
+    (QCheck.make ~print:Ast.to_string gen_xmark_path)
+    (agrees_with_listwise xmark)
+
+(* Each shape the streaming evaluator treats specially, named so that a
+   counting drift points at its cause. *)
+let test_streaming_directed () =
+  List.iter
+    (fun text ->
+      checkb text true (agrees_with_listwise xmark (P.parse text)))
+    [ (* parent axis: several children share one parent *)
+      "//item/*/..";
+      "//person/*/../..";
+      "/site/regions/*/item/..";
+      (* descendant axis over several, nested contexts *)
+      "//regions//item//text";
+      "//*//name";
+      "//item//*[1]";
+      "//mailbox/..//text";
+      (* mixed positional and boolean predicates *)
+      "//item[mailbox/mail][1]";
+      "/site/regions/*/item[2][@id != \"i0\"]";
+      "//person[name][last()]/name";
+      "//item[last()][description != \"x\" or mailbox]";
+      (* = and != on elements with element children *)
+      Printf.sprintf "//item[description = %S]" description_text;
+      Printf.sprintf "//mailbox[mail != %S]" mail_text;
+      Printf.sprintf "//item[mailbox/mail = %S]/name" mail_text;
+      (* leading steps the evaluator starts specially *)
+      "/site[1]/regions";
+      "/./regions";
+      "/..";
+      "//site";
+      "people/person" ]
+
 let () =
   Alcotest.run "xpath"
     [ ( "parser",
@@ -409,4 +692,8 @@ let () =
       ( "ast",
         [ Alcotest.test_case "predicate_paths" `Quick test_predicate_paths;
           QCheck_alcotest.to_alcotest prop_without_predicates_superset ] );
-      ("oracle", [ QCheck_alcotest.to_alcotest prop_eval_matches_oracle ]) ]
+      ("oracle", [ QCheck_alcotest.to_alcotest prop_eval_matches_oracle ]);
+      ( "stream",
+        [ Alcotest.test_case "directed shapes" `Quick test_streaming_directed;
+          QCheck_alcotest.to_alcotest prop_streaming_matches_listwise_shop;
+          QCheck_alcotest.to_alcotest prop_streaming_matches_listwise_xmark ] ) ]
