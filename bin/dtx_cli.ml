@@ -77,7 +77,7 @@ let output_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
          ~doc:"Write the result to $(docv) instead of stdout.")
 
-(* Protocol selection is shared, registry-driven plumbing: see
+(* Protocol selection is shared plumbing over [Protocol.all]: see
    {!Protocol_arg}. [--protocol] picks one kind; the sweep subcommands
    (analyze, chaos) take [--protocols] config lists instead. *)
 let protocol_arg = Protocol_arg.arg
@@ -767,13 +767,12 @@ let cert_cmd =
   Cmd.v
     (Cmd.info "cert"
        ~doc:
-         "Symbolically certify every registered protocol: lock-coverage \
-          soundness over a bounded operation universe (with per-protocol \
-          precision metrics), exhaustive FSM (state x message-kind) \
-          coverage cross-checked against explore-style runs including \
-          crash/restart recovery, WAL crash-point recovery mapping, and \
-          registry-capability coherence. Prints a JSON report; exits \
-          non-zero on any violation.")
+         "Symbolically certify every protocol: lock-coverage soundness \
+          over a bounded operation universe (with per-protocol precision \
+          metrics), exhaustive FSM (state x message-kind) coverage \
+          cross-checked against explore-style runs including crash/restart \
+          recovery, and WAL crash-point recovery mapping. Prints a JSON \
+          report; exits non-zero on any violation.")
     Term.(const run $ max_seconds)
 
 (* --- selftest ---------------------------------------------------------------*)

@@ -1,8 +1,8 @@
-(* Shared Cmdliner plumbing: protocol selection, driven entirely by the
-   {!Dtx_protocol.Protocol} registry so a newly registered protocol shows up
-   in every subcommand (workload/scale/explore pick one; analyze/chaos sweep
-   a matrix) without touching this file, and the range-checked numeric
-   arguments the subcommands share. *)
+(* Shared Cmdliner plumbing: protocol selection, driven entirely by
+   {!Dtx_protocol.Protocol.all} and its name lookup so every protocol shows
+   up in every subcommand (workload/scale/explore pick one; analyze/chaos
+   sweep a matrix) without touching this file, and the range-checked
+   numeric arguments the subcommands share. *)
 
 open Cmdliner
 module Protocol = Dtx_protocol.Protocol
@@ -61,8 +61,9 @@ let mb =
       Format.pp_print_float )
 
 let names () =
-  Protocol.registered () |> List.map Protocol.kind_to_string
-  |> List.map String.lowercase_ascii
+  List.map
+    (fun k -> String.lowercase_ascii (Protocol.kind_to_string k))
+    Protocol.all
 
 let kind_conv =
   Arg.conv
@@ -84,30 +85,29 @@ let arg =
   Arg.(value & opt kind_conv Protocol.xdgl & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
 (* A config is a protocol plus the commit flavour. The sweep default is every
-   registered protocol one-phase, plus the two 2PC flavours the test matrix
-   has always certified (XDGL) or that need 2PC coverage most (Commute's
+   protocol one-phase, plus the two 2PC flavours the test matrix has always
+   certified (XDGL) or that need 2PC coverage most (Commute's
    validate-then-prepare ordering). *)
 
 type config = Protocol.kind * bool
 
 let default_configs () =
-  List.map (fun k -> (k, false)) (Protocol.registered ())
+  List.map (fun k -> (k, false)) Protocol.all
   @ [ (Protocol.xdgl, true); (Protocol.commute, true) ]
 
 let config_to_string (k, two_phase) =
   Protocol.kind_to_string k ^ if two_phase then "+2pc" else ""
 
 let parse_config s =
-  (* "+2pc" is an exact suffix check: protocol names themselves may contain
-     '+' ("XDGL+VL"). *)
+  (* "+2pc" is a case-insensitive suffix check: protocol names themselves
+     may contain '+' ("XDGL+VL"). *)
   let suffix = "+2pc" in
+  let n = String.length s - String.length suffix in
   let base, two_phase =
     if
-      String.length s > String.length suffix
-      && String.sub s (String.length s - String.length suffix)
-           (String.length suffix)
-         = suffix
-    then (String.sub s 0 (String.length s - String.length suffix), true)
+      n > 0
+      && String.lowercase_ascii (String.sub s n (String.length suffix)) = suffix
+    then (String.sub s 0 n, true)
     else (s, false)
   in
   match Protocol.kind_of_string base with
@@ -116,13 +116,7 @@ let parse_config s =
       (`Msg
          (Printf.sprintf "unknown protocol %s (expected one of %s)" base
             (String.concat ", " (names ()))))
-  | Some k ->
-    if two_phase && not (Protocol.caps k).Protocol.two_pc_compatible then
-      Error
-        (`Msg
-           (Printf.sprintf "%s does not support two-phase commit"
-              (Protocol.kind_to_string k)))
-    else Ok (k, two_phase)
+  | Some k -> Ok (k, two_phase)
 
 let parse_configs s =
   if String.lowercase_ascii (String.trim s) = "all" then
@@ -161,7 +155,7 @@ let configs_arg =
   let doc =
     Printf.sprintf
       "Protocol configurations to sweep: comma-separated $(i,NAME)[+2pc] \
-       specs (%s), or $(b,all) for every registered protocol plus the 2PC \
+       specs (%s), or $(b,all) for every protocol plus the 2PC \
        flavours."
       (String.concat ", " (names ()))
   in

@@ -1,6 +1,6 @@
 (* Dtx_cert — the symbolic soundness certifier.
 
-   Three no-execution passes over every registered protocol:
+   Two no-execution passes over every protocol:
 
    (a) lock-coverage soundness on a bounded universe: a semantic conflict
        oracle (read/write sets over (node, aspect) pairs) decides which
@@ -17,16 +17,12 @@
        reachable pair the table calls impossible (or, under the seeded
        [Drop_handler] fault, drops) fails certification.  WAL crash points
        are mapped to their recovery transitions symbolically.
-   (c) registry-capability coherence: each kind's capability flags are
-       checked against observable behaviour (DataGuide presence, cache
-       hits, validation wiring, alias resolution).
 
    Seeded faults ([mutation]) invert each pass for self-testing; the
-   fault registry ([Dtx_faults.Faults]) runs all four and requires the pass
+   fault registry ([Dtx_faults.Faults]) runs all three and requires the pass
    each one sits in to reject it. *)
 
 module Ast = Dtx_xpath.Ast
-module Doc = Dtx_xml.Doc
 module Xml_parser = Dtx_xml.Parser
 module Dg = Dtx_dataguide.Dataguide
 module Op = Dtx_update.Op
@@ -52,7 +48,6 @@ module Json = Dtx_util.Json
 type mutation =
   | Flip_compat_bit  (** treat ST/IX as compatible in the collision check *)
   | Drop_handler  (** classify the coordinator's (Waiting, Wake) as dropped *)
-  | Wrong_caps  (** register a probe kind whose capability flags lie *)
   | Weaken_commute  (** replace the commute verdicts with a gap-blind rule *)
 
 (* ------------------------------------------------------------------ *)
@@ -290,15 +285,12 @@ type fsm_report = {
   f_violations : string list;
 }
 
-type caps_report = { c_name : string; c_violations : string list }
-
 type report = {
   r_protocols : proto_report list;
   r_fsm : fsm_report list;
   r_required_missing : string list;
       (** certifier self-integrity: pairs the runs were designed to reach *)
   r_wal_violations : string list;
-  r_caps : caps_report list;
   r_universe_seconds : float;  (** pass (a): oracle build + all-pairs loop *)
   r_runtime_seconds : float;
   r_violations : int;
@@ -339,9 +331,8 @@ let weakened_verdict ops fps i j =
 
 let certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops kind =
   let name = Protocol.kind_to_string kind in
-  let caps = Protocol.caps kind in
-  let oracle = if caps.Protocol.uses_dataguide then guide_oracle
-    else instance_oracle
+  let oracle =
+    if Protocol.uses_dataguide kind then guide_oracle else instance_oracle
   in
   let fps = footprints kind ops in
   let is_commute = kind = Protocol.commute in
@@ -816,96 +807,6 @@ let fsm_audit ~mutate () =
   ([ coord_report; part_report ], required_missing, wal_crash_point_checks ())
 
 (* ------------------------------------------------------------------ *)
-(* Pass (c): registry-capability coherence                             *)
-
-let probe_name = "CertWrongCaps"
-
-(* The [Wrong_caps] fault: a kind whose flags lie — it claims to cache
-   derivations, but without a DataGuide the caching arm never engages, so
-   observed hits stay zero and the coherence pass must object.  Registered
-   lazily (the registry rejects duplicates) and excluded from every other
-   pass. *)
-let probe_kind =
-  lazy
-    (Protocol.register ~name:probe_name ~aliases:[ "certwrongcaps" ]
-       ~caps:
-         {
-           Protocol.uses_dataguide = false;
-           caches_derivations = true;
-           needs_validation = false;
-           two_pc_compatible = false;
-         }
-       ~derive:(fun ~dg:_ (d : Doc.t) op ->
-         let mode = if Op.is_update op then Mode.X else Mode.ST in
-         Ok ([ (Table.resource d.Doc.name 0, mode) ], 1))
-       ~structure:(fun ~dg:_ _ -> 1)
-       ())
-
-let caps_audit_kind kind =
-  let name = Protocol.kind_to_string kind in
-  let caps = Protocol.caps kind in
-  let violations = ref [] in
-  let fail fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
-  (* uses_dataguide <=> the instance exposes a DataGuide after add_doc. *)
-  let inst = Protocol.create kind in
-  Protocol.add_doc inst (parse_universe ());
-  let has_guide = Protocol.dataguide inst universe_name <> None in
-  if has_guide <> caps.Protocol.uses_dataguide then
-    fail "%s: uses_dataguide=%b but instance %s a DataGuide" name
-      caps.Protocol.uses_dataguide
-      (if has_guide then "exposes" else "does not expose");
-  (* caches_derivations <=> repeating an identical derivation can hit. *)
-  let q = parse_op "QUERY /r/a" in
-  ignore (Protocol.lock_requests inst ~doc:universe_name q);
-  ignore (Protocol.lock_requests inst ~doc:universe_name q);
-  let hits, _ = Protocol.cache_stats inst in
-  if caps.Protocol.caches_derivations && hits = 0 then
-    fail
-      "%s: caches_derivations=true but repeating an identical derivation \
-       never hits"
-      name;
-  if (not caps.Protocol.caches_derivations) && hits > 0 then
-    fail "%s: caches_derivations=false but the instance reported cache hits"
-      name;
-  (* needs_validation <=> a cluster built with the kind installs the
-     optimistic validation classifier on its coordinator. *)
-  let sim = Sim.create () in
-  let net = Net.of_config ~sim Net.Config.lan in
-  let config = Cluster.default_config ~protocol:kind () in
-  let cluster =
-    Cluster.create ~sim ~net ~n_sites:1 config
-      ~placements:
-        [ { Dtx_frag.Allocation.doc = parse_universe (); sites = [ 0 ] } ]
-  in
-  let has_optimist = Coordinator.has_optimist (Cluster.coordinator cluster) in
-  if has_optimist <> caps.Protocol.needs_validation then
-    fail "%s: needs_validation=%b but the coordinator %s a validator" name
-      caps.Protocol.needs_validation
-      (if has_optimist then "installs" else "does not install");
-  (* Registry coherence: name and every alias resolve back to this kind. *)
-  List.iter
-    (fun a ->
-      match Protocol.kind_of_string a with
-      | Some k when k = kind -> ()
-      | _ -> fail "%s: alias %S does not resolve back to the kind" name a)
-    (Protocol.kind_to_string kind :: Protocol.aliases kind);
-  { c_name = name; c_violations = List.rev !violations }
-
-let caps_audit ~mutate () =
-  let kinds =
-    List.filter
-      (fun k -> Protocol.kind_to_string k <> probe_name)
-      (Protocol.registered ())
-  in
-  let kinds =
-    if mutate = Some Wrong_caps then kinds @ [ Lazy.force probe_kind ]
-    else kinds
-  in
-  List.map caps_audit_kind kinds
-
-(* ------------------------------------------------------------------ *)
 (* Certification entry points                                          *)
 
 let certify ?mutate ?(max_seconds = 60.0) () =
@@ -919,15 +820,10 @@ let certify ?mutate ?(max_seconds = 60.0) () =
   let ops = parse_templates () in
   let guide_oracle = build_guide_oracle ops in
   let instance_oracle = build_instance_oracle ops in
-  let kinds =
-    List.filter
-      (fun k -> Protocol.kind_to_string k <> probe_name)
-      (Protocol.registered ())
-  in
   let protocols =
     List.map
       (certify_protocol ~compat ~mutate ~guide_oracle ~instance_oracle ops)
-      kinds
+      Protocol.all
   in
   (* The optimistic protocol must buy measurable precision with its
      validation machinery: downgrade monotonicity already guarantees >=
@@ -960,7 +856,6 @@ let certify ?mutate ?(max_seconds = 60.0) () =
   in
   let universe_seconds = Unix.gettimeofday () -. t0 in
   let fsm, required_missing, wal_violations = fsm_audit ~mutate () in
-  let caps_reports = caps_audit ~mutate () in
   let budget_violations =
     if universe_seconds > max_seconds then
       [
@@ -976,15 +871,12 @@ let certify ?mutate ?(max_seconds = 60.0) () =
     + List.fold_left (fun n f -> n + List.length f.f_violations) 0 fsm
     + List.length required_missing
     + List.length wal_violations
-    + List.fold_left (fun n c -> n + List.length c.c_violations) 0
-        caps_reports
   in
   {
     r_protocols = protocols;
     r_fsm = fsm;
     r_required_missing = required_missing @ budget_violations;
     r_wal_violations = wal_violations;
-    r_caps = caps_reports;
     r_universe_seconds = universe_seconds;
     r_runtime_seconds = Unix.gettimeofday () -. t0;
     r_violations = violations;
@@ -1026,15 +918,6 @@ let to_json r =
   add "  ],\n";
   add "  \"required_missing\": %s,\n" (Json.strings r.r_required_missing);
   add "  \"wal_violations\": %s,\n" (Json.strings r.r_wal_violations);
-  add "  \"caps\": [\n";
-  List.iteri
-    (fun i c ->
-      add "    {\"name\": %s, \"violations\": %s}%s\n"
-        (Json.string c.c_name)
-        (Json.strings c.c_violations)
-        (if i = List.length r.r_caps - 1 then "" else ","))
-    r.r_caps;
-  add "  ],\n";
   add "  \"universe_seconds\": %.3f,\n" r.r_universe_seconds;
   add "  \"runtime_seconds\": %.3f,\n" r.r_runtime_seconds;
   add "  \"violations\": %d,\n" r.r_violations;

@@ -217,7 +217,7 @@ let create ~sim ~net ~n_sites config ~placements =
   in
   (* The Commute protocol needs its coordinator-side classifier, built over
      private clones of the placement documents. *)
-  if (Protocol.caps config.protocol).Protocol.needs_validation then
+  if Protocol.needs_validation config.protocol then
     Coordinator.set_optimist coord
       (Optimist.create ~protocol:config.protocol
          ~docs:

@@ -810,8 +810,6 @@ let phase_of t ~txn =
   | Some st -> Some st.phase
   | None -> if Hashtbl.mem t.outcomes txn then Some Done else None
 
-let has_optimist t = t.optimist <> None
-
 let submit t ~client ~coordinator ~ops ~on_finish =
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;

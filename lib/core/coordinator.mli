@@ -158,10 +158,6 @@ val phase_of : t -> txn:int -> phase option
     [Some Done] if finalized (outcome recorded), [None] if never
     submitted. *)
 
-val has_optimist : t -> bool
-(** Whether a Commute-protocol validation classifier is installed
-    (capability-coherence probe for [needs_validation]). *)
-
 val set_optimist : t -> Optimist.t -> unit
 (** Install the Commute protocol's commutativity classifier. From then on
     every {!submit} classifies its operations against the active set (the

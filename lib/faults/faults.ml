@@ -81,14 +81,13 @@ let explore ~two_phase tap ~inject =
     o.Explore.o_violating
 
 (* One check per certifier pass: (a) lock coverage, (b) the FSM audit with
-   its required pairs and WAL crash points, (c) capabilities. *)
+   its required pairs and WAL crash points. *)
 let cert fault ~inject =
   let r = Cert.certify ?mutate:(if inject then Some fault else None) () in
   List.concat_map (fun p -> tagged "lock-coverage" p.Cert.pr_violations)
     r.Cert.r_protocols
   @ List.concat_map (fun f -> tagged "fsm" f.Cert.f_violations) r.Cert.r_fsm
   @ tagged "fsm" (r.Cert.r_required_missing @ r.Cert.r_wal_violations)
-  @ List.concat_map (fun c -> tagged "caps" c.Cert.c_violations) r.Cert.r_caps
 
 (* The reference scenario's last transaction: t2, the reader. *)
 let ref_last = List.length Explore.reference.Explore.sc_txns
@@ -110,7 +109,6 @@ let all =
     { name = "cert/flip-compat-bit"; check = "lock-coverage";
       run = cert Cert.Flip_compat_bit };
     { name = "cert/drop-handler"; check = "fsm"; run = cert Cert.Drop_handler };
-    { name = "cert/wrong-caps"; check = "caps"; run = cert Cert.Wrong_caps };
     { name = "cert/weaken-commute"; check = "lock-coverage";
       run = cert Cert.Weaken_commute } ]
 

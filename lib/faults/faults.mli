@@ -32,7 +32,7 @@ type t = {
   check : string;
       (** the check that must catch the fault: a checker invariant
           ([mode-lattice], [lock-compat], [lock-balance], [2pc-order]) or a
-          certifier pass ([lock-coverage], [fsm], [caps]) *)
+          certifier pass ([lock-coverage], [fsm]) *)
   run : inject:bool -> finding list;
       (** everything the checks found; [~inject:false] is the fault-free
           twin *)

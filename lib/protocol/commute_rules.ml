@@ -19,15 +19,12 @@ let independent = function Commutes -> true | Conflicts | Unknown -> false
    leak into — or depend on — the cluster being analyzed. Phantom count-0
    nodes only ever widen later footprints, which errs on the side of
    Conflicts. *)
-type t = {
-  proto : Protocol.t;
-  kind : Protocol.kind;
-}
+type t = { proto : Protocol.t }
 
 let create ~protocol ~docs =
   let proto = Protocol.create protocol in
   List.iter (fun doc -> Protocol.add_doc proto (Doc.clone doc)) docs;
-  { proto; kind = protocol }
+  { proto }
 
 let guide_version t doc =
   match Protocol.dataguide t.proto doc with

@@ -5,155 +5,83 @@ module Exec = Dtx_update.Exec
 module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
 
-type caps = {
-  uses_dataguide : bool;
-  caches_derivations : bool;
-  needs_validation : bool;
-  two_pc_compatible : bool;
-}
+(* The closed protocol set. Constructor order is the order of [all], which
+   sweeps, the certifier's report and the explorer's random draws follow.
+   A new protocol is one more constructor: every [match] below is
+   exhaustive, so the compiler points at each arm it needs. *)
+type kind = Xdgl | Node2pl | Doc2pl | Tadom | Xdgl_value | Commute
 
-(* A registered protocol. The record is deliberately closure-free so the
-   polymorphic comparisons the call sites use ([kind = kind],
-   [Some kind = ...]) stay total; the rules functions live in [impls],
-   keyed by [k_id]. *)
-type kind = {
-  k_id : int;
-  k_name : string;
-  k_aliases : string list;
-  k_caps : caps;
-}
+let all = [ Xdgl; Node2pl; Doc2pl; Tadom; Xdgl_value; Commute ]
 
-type impl = {
-  i_derive :
-    dg:Dg.t option ->
-    Doc.t ->
-    Op.t ->
-    ((Table.resource * Mode.t) list * int, string) result;
-  i_structure : dg:Dg.t option -> Doc.t -> int;
-}
+let xdgl = Xdgl
+let node2pl = Node2pl
+let doc2pl = Doc2pl
+let tadom = Tadom
+let xdgl_value = Xdgl_value
+let commute = Commute
 
-let registry : kind list ref = ref []
-let by_alias : (string, kind) Hashtbl.t = Hashtbl.create 16
-let impls : (int, impl) Hashtbl.t = Hashtbl.create 16
-let next_id = ref 0
+let kind_to_string = function
+  | Xdgl -> "XDGL"
+  | Node2pl -> "Node2PL"
+  | Doc2pl -> "Doc2PL"
+  | Tadom -> "taDOM"
+  | Xdgl_value -> "XDGL+VL"
+  | Commute -> "Commute"
 
-let register ~name ~aliases ~caps ~derive ~structure () =
-  (* Registration is append-only and global: silently shadowing an existing
-     name/alias would reroute every later [kind_of_string] (CLI parsing,
-     saved configs) to the new entry. Refuse loudly instead. *)
-  List.iter
-    (fun a ->
-      match Hashtbl.find_opt by_alias (String.lowercase_ascii a) with
-      | Some prior ->
-        invalid_arg
-          (Printf.sprintf
-             "Protocol.register: alias %S of %S collides with registered \
-              protocol %S"
-             a name prior.k_name)
-      | None -> ())
-    (name :: aliases);
-  let k =
-    { k_id = !next_id; k_name = name; k_aliases = aliases; k_caps = caps }
-  in
-  incr next_id;
-  registry := !registry @ [ k ];
-  Hashtbl.replace impls k.k_id { i_derive = derive; i_structure = structure };
-  List.iter
-    (fun a -> Hashtbl.replace by_alias (String.lowercase_ascii a) k)
-    (name :: aliases);
-  k
+(* Display names and aliases, case-insensitively. A repeated key is an
+   unused match case, which the build rejects. *)
+let kind_of_string s =
+  match String.lowercase_ascii s with
+  | "xdgl" -> Some Xdgl
+  | "node2pl" -> Some Node2pl
+  | "doc2pl" -> Some Doc2pl
+  | "tadom" -> Some Tadom
+  | "xdgl+vl" | "xdgl-vl" | "xdglvl" -> Some Xdgl_value
+  | "commute" | "xdgl+commute" -> Some Commute
+  | _ -> None
 
-let impl_of k = Hashtbl.find impls k.k_id
+let uses_dataguide = function
+  | Xdgl | Xdgl_value | Commute -> true
+  | Node2pl | Doc2pl | Tadom -> false
 
-let registered () = !registry
-let caps k = k.k_caps
-let aliases k = k.k_aliases
-let kind_to_string k = k.k_name
-let kind_of_string s = Hashtbl.find_opt by_alias (String.lowercase_ascii s)
+(* Value-lock derivation (XDGL+VL) reads document text, which changes
+   without a DataGuide version bump, so it cannot share XDGL's cache. *)
+let caches_derivations = function
+  | Xdgl | Commute -> true
+  | Node2pl | Doc2pl | Tadom | Xdgl_value -> false
 
-(* ------------------------------------------------------------------ *)
-(* Built-in rule functions                                            *)
-
-let xdgl_derive ~dg _d op =
-  match dg with
-  | None -> Error "XDGL: missing DataGuide"
-  | Some dg ->
-    let requests = Xdgl_rules.requests (Xdgl_rules.guide_view dg) op in
-    Ok (requests, List.length requests)
-
-let xdgl_value_derive ~dg d op =
-  match dg with
-  | None -> Error "XDGL+VL: missing DataGuide"
-  | Some dg ->
-    let requests = Xdgl_value_rules.requests dg d op in
-    Ok (requests, List.length requests)
-
-let node2pl_derive ~dg:_ d op = Ok (Node2pl_rules.requests d op)
-let tadom_derive ~dg:_ d op =
-  let requests = Xdgl_rules.requests (Xdgl_rules.instance_view d) op in
-  Ok (requests, List.length requests)
-
-let doc2pl_derive ~dg:_ (d : Doc.t) op =
-  (* One lock on the whole document: pseudo-node 0. *)
-  let mode = if Op.is_update op then Mode.X else Mode.ST in
-  Ok ([ (Table.resource d.Doc.name 0, mode) ], 1)
-
-let guide_structure ~dg _d = match dg with Some dg -> Dg.size dg | None -> 0
-let doc_structure ~dg:_ d = Doc.size d
-let unit_structure ~dg:_ _d = 1
-
-let guide_caps =
-  {
-    uses_dataguide = true;
-    caches_derivations = true;
-    needs_validation = false;
-    two_pc_compatible = true;
-  }
-
-let instance_caps =
-  {
-    uses_dataguide = false;
-    caches_derivations = false;
-    needs_validation = false;
-    two_pc_compatible = true;
-  }
-
-let xdgl =
-  register ~name:"XDGL" ~aliases:[ "xdgl" ] ~caps:guide_caps
-    ~derive:xdgl_derive ~structure:guide_structure ()
-
-let node2pl =
-  register ~name:"Node2PL" ~aliases:[ "node2pl" ] ~caps:instance_caps
-    ~derive:node2pl_derive ~structure:doc_structure ()
-
-let doc2pl =
-  register ~name:"Doc2PL" ~aliases:[ "doc2pl" ] ~caps:instance_caps
-    ~derive:doc2pl_derive ~structure:unit_structure ()
-
-let tadom =
-  register ~name:"taDOM" ~aliases:[ "tadom" ] ~caps:instance_caps
-    ~derive:tadom_derive ~structure:doc_structure ()
-
-let xdgl_value =
-  (* Value-lock derivation reads document text, which changes without a
-     DataGuide version bump, so it cannot share XDGL's derivation cache. *)
-  register ~name:"XDGL+VL"
-    ~aliases:[ "xdgl+vl"; "xdgl-vl"; "xdglvl" ]
-    ~caps:{ guide_caps with caches_derivations = false }
-    ~derive:xdgl_value_derive ~structure:guide_structure ()
-
-let commute =
-  (* Optimistic commutativity on top of XDGL: per-site lock derivation is
-     exactly XDGL's (the fallback path), and the optimistic skip/downgrade
-     plus commit-time validation live in the coordinator (see
-     {!Commute_rules} and lib/core). *)
-  register ~name:"Commute"
-    ~aliases:[ "commute"; "xdgl+commute" ]
-    ~caps:{ guide_caps with needs_validation = true }
-    ~derive:xdgl_derive ~structure:guide_structure ()
+(* Optimistic commutativity on top of XDGL: per-site lock derivation is
+   exactly XDGL's (the fallback path), and the optimistic skip/downgrade
+   plus commit-time validation live in the coordinator (see
+   {!Commute_rules} and lib/core). *)
+let needs_validation = function
+  | Commute -> true
+  | Xdgl | Node2pl | Doc2pl | Tadom | Xdgl_value -> false
 
 (* ------------------------------------------------------------------ *)
 (* Instances                                                          *)
+
+(* A document replica with the DataGuide its kind maintains over it
+   ([Some] exactly when [uses_dataguide]). *)
+type replica = { doc : Doc.t; guide : Dg.t option }
+
+let counted requests = Ok (requests, List.length requests)
+
+let derive kind r op =
+  match (kind, r.guide) with
+  | (Xdgl | Commute), Some dg ->
+    counted (Xdgl_rules.requests (Xdgl_rules.guide_view dg) op)
+  | Xdgl_value, Some dg -> counted (Xdgl_value_rules.requests dg r.doc op)
+  | (Xdgl | Commute | Xdgl_value), None ->
+    Error
+      (Printf.sprintf "%s: no DataGuide for %s" (kind_to_string kind)
+         r.doc.Doc.name)
+  | Node2pl, _ -> Ok (Node2pl_rules.requests r.doc op)
+  | Tadom, _ -> counted (Xdgl_rules.requests (Xdgl_rules.instance_view r.doc) op)
+  | Doc2pl, _ ->
+    (* One lock on the whole document: pseudo-node 0. *)
+    let mode = if Op.is_update op then Mode.X else Mode.ST in
+    Ok ([ (Table.resource r.doc.Doc.name 0, mode) ], 1)
 
 (* Memoized lock derivation for kinds with [caches_derivations]: the
    requests for an operation depend only on the operation itself and the
@@ -172,8 +100,7 @@ let cache_capacity = 4096
 
 type t = {
   kind : kind;
-  docs : (string, Doc.t) Hashtbl.t;
-  guides : (string, Dg.t) Hashtbl.t;  (* populated when caps.uses_dataguide *)
+  replicas : (string, replica) Hashtbl.t;
   derivations : (string * Op.t, cache_entry) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -181,86 +108,81 @@ type t = {
 
 let create kind =
   { kind;
-    docs = Hashtbl.create 8;
-    guides = Hashtbl.create 8;
+    replicas = Hashtbl.create 8;
     derivations = Hashtbl.create 256;
     cache_hits = 0;
     cache_misses = 0 }
 
-let kind t = t.kind
-
-let name t = t.kind.k_name
-
 let add_doc t (doc : Doc.t) =
-  Hashtbl.replace t.docs doc.Doc.name doc;
-  if t.kind.k_caps.uses_dataguide then begin
-    Hashtbl.replace t.guides doc.Doc.name (Dg.build doc);
-    (* A rebuilt guide restarts its version counter; drop every memo rather
-       than risk a stale entry whose version coincides. *)
-    Hashtbl.reset t.derivations
-  end
+  let guide = if uses_dataguide t.kind then Some (Dg.build doc) else None in
+  Hashtbl.replace t.replicas doc.Doc.name { doc; guide };
+  (* A rebuilt guide restarts its version counter; drop every memo rather
+     than risk a stale entry whose version coincides. *)
+  Hashtbl.reset t.derivations
 
 let cache_stats t = (t.cache_hits, t.cache_misses)
 
-let doc t name = Hashtbl.find_opt t.docs name
+let doc t name =
+  match Hashtbl.find t.replicas name with
+  | r -> Some r.doc
+  | exception Not_found -> None
 
 let docs t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.docs [] |> List.sort compare
+  Hashtbl.fold (fun name _ acc -> name :: acc) t.replicas []
+  |> List.sort compare
 
 let lock_requests t ~doc:doc_name op =
-  match Hashtbl.find_opt t.docs doc_name with
-  | None -> Error (Printf.sprintf "%s: unknown document %s" (name t) doc_name)
-  | Some d -> (
-    let k = t.kind in
-    let dg =
-      if k.k_caps.uses_dataguide then Hashtbl.find_opt t.guides doc_name
-      else None
-    in
-    match (k.k_caps.uses_dataguide, dg) with
-    | true, None ->
-      Error (Printf.sprintf "%s: no DataGuide for %s" k.k_name doc_name)
-    | _, Some g when k.k_caps.caches_derivations -> (
-      let key = (doc_name, op) in
-      match Hashtbl.find_opt t.derivations key with
-      | Some ce when ce.c_version = Dg.version g ->
-        t.cache_hits <- t.cache_hits + 1;
-        Ok (ce.c_requests, ce.c_processed)
-      | _ -> (
-        t.cache_misses <- t.cache_misses + 1;
-        match (impl_of k).i_derive ~dg d op with
-        | Error _ as e -> e
-        | Ok (requests, processed) ->
-          if Hashtbl.length t.derivations >= cache_capacity then
-            Hashtbl.reset t.derivations;
-          Hashtbl.replace t.derivations key
-            { c_version = Dg.version g;
-              c_requests = requests;
-              c_processed = processed };
-          Ok (requests, processed)))
-    | _ ->
-      (* Uncached kinds still count each derivation as a miss, so
-         [cache_stats] reports derivation volume for every protocol. *)
+  match Hashtbl.find_opt t.replicas doc_name with
+  | None ->
+    Error
+      (Printf.sprintf "%s: unknown document %s" (kind_to_string t.kind)
+         doc_name)
+  | Some ({ guide = Some g; _ } as r) when caches_derivations t.kind -> (
+    let key = (doc_name, op) in
+    match Hashtbl.find_opt t.derivations key with
+    | Some ce when ce.c_version = Dg.version g ->
+      t.cache_hits <- t.cache_hits + 1;
+      Ok (ce.c_requests, ce.c_processed)
+    | _ -> (
       t.cache_misses <- t.cache_misses + 1;
-      (impl_of k).i_derive ~dg d op)
-
-let note_applied t ~doc:doc_name deltas =
-  if t.kind.k_caps.uses_dataguide then
-    match Hashtbl.find_opt t.guides doc_name with
-    | None -> ()
-    | Some dg ->
-      List.iter
-        (fun delta ->
-          match delta with
-          | Exec.Dg_add path -> ignore (Dg.add_instance dg path)
-          | Exec.Dg_remove path -> Dg.remove_instance dg path)
-        deltas
-
-let structure_size t doc_name =
-  match Hashtbl.find_opt t.docs doc_name with
-  | None -> 0
-  | Some d ->
-    (impl_of t.kind).i_structure ~dg:(Hashtbl.find_opt t.guides doc_name) d
+      match derive t.kind r op with
+      | Error _ as e -> e
+      | Ok (requests, processed) ->
+        if Hashtbl.length t.derivations >= cache_capacity then
+          Hashtbl.reset t.derivations;
+        Hashtbl.replace t.derivations key
+          { c_version = Dg.version g;
+            c_requests = requests;
+            c_processed = processed };
+        Ok (requests, processed)))
+  | Some r ->
+    (* Uncached kinds still count each derivation as a miss, so
+       [cache_stats] reports derivation volume for every protocol. *)
+    t.cache_misses <- t.cache_misses + 1;
+    derive t.kind r op
 
 let dataguide t doc_name =
-  if t.kind.k_caps.uses_dataguide then Hashtbl.find_opt t.guides doc_name
-  else None
+  match Hashtbl.find t.replicas doc_name with
+  | r -> r.guide
+  | exception Not_found -> None
+
+let note_applied t ~doc:doc_name deltas =
+  match dataguide t doc_name with
+  | None -> ()
+  | Some dg ->
+    List.iter
+      (fun delta ->
+        match delta with
+        | Exec.Dg_add path -> ignore (Dg.add_instance dg path)
+        | Exec.Dg_remove path -> Dg.remove_instance dg path)
+      deltas
+
+let structure_size t doc_name =
+  match Hashtbl.find_opt t.replicas doc_name with
+  | None -> 0
+  | Some r -> (
+    match t.kind with
+    | Doc2pl -> 1
+    | Node2pl | Tadom -> Doc.size r.doc
+    | Xdgl | Xdgl_value | Commute -> (
+      match r.guide with Some g -> Dg.size g | None -> 0))

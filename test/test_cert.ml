@@ -1,22 +1,15 @@
 (* Tests for the symbolic soundness certifier (Dtx_cert): clean
-   certification of every registered protocol with its pass-(a) figures
-   pinned, precision ordering, FSM/WAL pass integrity, the conflict
-   oracle's per-pair bits and view rules — plus the protocol registry and CLI-parsing hardening
-   (duplicate-alias rejection in Protocol.register, Protocol_arg edge
-   cases). The certifier's four seeded faults run in test_faults.
-
-   Ordering matters within this file: the Protocol_arg +2pc test registers
-   a two_pc_compatible=false kind, so the clean-run tests come first and
-   the registry-polluting ones last. Alcotest runs cases in declaration
-   order. *)
+   certification of every protocol with its pass-(a) figures pinned,
+   precision ordering, FSM/WAL pass integrity, the conflict oracle's
+   per-pair bits and view rules — plus the CLI's protocol-config parsing
+   (Protocol_arg edge cases). The certifier's three seeded faults run in
+   test_faults. No test here mutates global state, so the cases may run in
+   any order. *)
 
 module Cert = Dtx_cert.Cert
 module Protocol = Dtx_protocol.Protocol
 module Protocol_arg = Dtx_cli_args.Protocol_arg
-module Mode = Dtx_locks.Mode
-module Table = Dtx_locks.Table
 module Op = Dtx_update.Op
-module Doc = Dtx_xml.Doc
 module Node = Dtx_xml.Node
 module Dg = Dtx_dataguide.Dataguide
 module Xdgl_rules = Dtx_protocol.Xdgl_rules
@@ -36,7 +29,7 @@ let proto_by_name r name =
 (* --- clean run ----------------------------------------------------------- *)
 
 (* One clean run shared by the read-only assertions below; certify is a
-   pure function of the registry, so recomputing it per test would only
+   pure function of the protocol set, so recomputing it per test would only
    re-run the recovery simulations. *)
 let clean = lazy (Cert.certify ())
 
@@ -44,7 +37,7 @@ let test_clean_certifies () =
   let r = Lazy.force clean in
   checkb "certified" true r.Cert.r_certified;
   check "violations" 0 r.Cert.r_violations;
-  checkb "all six registered protocols present" true
+  checkb "all six protocols present" true
     (List.length r.Cert.r_protocols >= 6);
   List.iter
     (fun p ->
@@ -269,49 +262,6 @@ let test_json_renders () =
      in
      scan 0)
 
-(* --- satellite: registry duplicate rejection ----------------------------- *)
-
-let dummy_derive ~dg:_ (d : Doc.t) op =
-  let mode = if Op.is_update op then Mode.X else Mode.ST in
-  Ok [ (Table.resource d.Doc.name 0, mode) ]
-
-let caps_plain =
-  {
-    Protocol.uses_dataguide = false;
-    caches_derivations = false;
-    needs_validation = false;
-    two_pc_compatible = false;
-  }
-
-let test_register_rejects_duplicates () =
-  (* Both a duplicate primary name and a duplicate alias must be refused
-     before anything is mutated, so the registry stays clean. *)
-  let before = List.length (Protocol.registered ()) in
-  let attempt name aliases =
-    match
-      Protocol.register ~name ~aliases ~caps:caps_plain
-        ~derive:(fun ~dg d op ->
-          match dummy_derive ~dg d op with
-          | Ok rs -> Ok (rs, 1)
-          | Error _ as e -> e)
-        ~structure:(fun ~dg:_ _ -> 1)
-        ()
-    with
-    | _ -> Alcotest.failf "register %s accepted a duplicate" name
-    | exception Invalid_argument msg ->
-      checkb (name ^ " error names the collision") true
-        (let needle = "collides" in
-         let n = String.length needle in
-         let rec scan i =
-           i + n <= String.length msg
-           && (String.sub msg i n = needle || scan (i + 1))
-         in
-         scan 0)
-  in
-  attempt "XDGL" [];
-  attempt "FreshName" [ "xdgl" ];
-  check "registry unchanged" before (List.length (Protocol.registered ()))
-
 (* --- satellite: Protocol_arg edge cases ---------------------------------- *)
 
 let is_error = function Error (`Msg _) -> true | Ok _ -> false
@@ -336,38 +286,26 @@ let test_parse_duplicate_configs () =
   | Error (`Msg m) -> Alcotest.failf "flavour list rejected: %s" m);
   match Protocol_arg.parse_configs "all" with
   | Ok cs ->
-    checkb "all covers every registered protocol" true
-      (List.length cs >= List.length (Protocol.registered ()))
+    checkb "all covers every protocol" true
+      (List.length cs >= List.length Protocol.all)
   | Error (`Msg m) -> Alcotest.failf "all rejected: %s" m
 
-let test_parse_two_pc_incompatible () =
-  (* Registers a two_pc_compatible=false kind, polluting the registry —
-     which is why this test is declared last. *)
-  let kind =
-    Protocol.register ~name:"CertTestNo2pc" ~aliases:[] ~caps:caps_plain
-      ~derive:(fun ~dg d op ->
-        match dummy_derive ~dg d op with
-        | Ok rs -> Ok (rs, 1)
-        | Error _ as e -> e)
-      ~structure:(fun ~dg:_ _ -> 1)
-      ()
-  in
-  checkb "kind registered" true
-    (Protocol.kind_of_string "certtestno2pc" = Some kind);
-  (match Protocol_arg.parse_config "certtestno2pc" with
-  | Ok (k, two_phase) ->
-    checkb "plain flavour accepted" true (k = kind && not two_phase)
-  | Error (`Msg m) -> Alcotest.failf "plain flavour rejected: %s" m);
-  match Protocol_arg.parse_config "certtestno2pc+2pc" with
-  | Ok _ -> Alcotest.fail "+2pc accepted on a two_pc_compatible=false kind"
-  | Error (`Msg m) ->
-    checkb "error mentions two-phase" true
-      (let needle = "two-phase" in
-       let n = String.length needle in
-       let rec scan i =
-         i + n <= String.length m && (String.sub m i n = needle || scan (i + 1))
-       in
-       scan 0)
+let test_parse_two_pc_suffix_any_case () =
+  (* Protocol names are case-insensitive, and so is the commit-flavour
+     suffix; a name that itself contains '+' keeps it. *)
+  List.iter
+    (fun (spec, kind, two_phase) ->
+      match Protocol_arg.parse_config spec with
+      | Ok (k, tp) ->
+        checkb (spec ^ " parses to its config") true
+          (k = kind && tp = two_phase)
+      | Error (`Msg m) -> Alcotest.failf "%s rejected: %s" spec m)
+    [ ("xdgl+2pc", Protocol.xdgl, true);
+      ("XDGL+2PC", Protocol.xdgl, true);
+      ("Commute+2Pc", Protocol.commute, true);
+      ("XDGL+VL+2PC", Protocol.xdgl_value, true);
+      ("XDGL+VL", Protocol.xdgl_value, false) ];
+  checkb "bare suffix rejected" true (is_error (Protocol_arg.parse_config "+2PC"))
 
 let () =
   Alcotest.run "cert"
@@ -384,14 +322,11 @@ let () =
       ( "oracle",
         [ Alcotest.test_case "conflict bits" `Quick test_oracle_conflict_bits;
           Alcotest.test_case "view rules" `Quick test_oracle_view_rules ] );
-      ( "registry",
-        [ Alcotest.test_case "duplicate rejection" `Quick
-            test_register_rejects_duplicates ] );
       ( "protocol-arg",
         [ Alcotest.test_case "unknown protocol" `Quick
             test_parse_unknown_protocol;
           Alcotest.test_case "duplicate configs" `Quick
             test_parse_duplicate_configs;
-          Alcotest.test_case "+2pc incompatible" `Quick
-            test_parse_two_pc_incompatible ] );
+          Alcotest.test_case "+2pc suffix in any case" `Quick
+            test_parse_two_pc_suffix_any_case ] );
     ]

@@ -201,7 +201,7 @@ let verdict_name = function
    Document "Z" is never loaded, so its operations have no footprint. *)
 let oracle_pair =
   let open QCheck.Gen in
-  let kinds = Array.of_list (Protocol.registered ()) in
+  let kinds = Array.of_list Protocol.all in
   let side ops =
     pair
       (frequency [ (4, return "D"); (2, return "E"); (1, return "Z") ])

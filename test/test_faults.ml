@@ -26,10 +26,10 @@ let test_checks_covered () =
   List.iter
     (fun c -> Alcotest.(check bool) c true (covered c))
     [ "mode-lattice"; "lock-compat"; "lock-balance"; "2pc-order";
-      "lock-coverage"; "fsm"; "caps" ]
+      "lock-coverage"; "fsm" ]
 
-(* The wrong-caps fault registers its probe kind globally; certification
-   must exclude it by name, so a clean run still certifies. *)
+(* Injected faults must leave no state behind: a clean run after all of
+   them still certifies. *)
 let test_clean_after_faults () =
   List.iter (fun (e : Faults.t) -> ignore (e.run ~inject:true)) Faults.all;
   Alcotest.(check bool) "certified" true (Cert.certify ()).Cert.r_certified

@@ -207,7 +207,7 @@ let test_node2pl_conflicts_are_per_node () =
 
 (* --- taDOM rules ------------------------------------------------------------ *)
 
-(* taDOM's [(retained, processed)] through the registry: the rule table
+(* taDOM's [(retained, processed)] through the facade: the rule table
    over the document-instance view. *)
 let tadom_requests doc op =
   let p = Protocol.create Protocol.tadom in
@@ -588,13 +588,58 @@ let test_note_applied_maintains_dataguide () =
   checkb "node2pl has no dataguide" true
     (Protocol.dataguide (Protocol.create Protocol.node2pl) "d2" = None)
 
+(* What each kind decides, one row per protocol in [Protocol.all] order:
+   display name, lookup aliases (mixed case: lookup is case-insensitive),
+   whether instances keep a DataGuide, whether a repeated identical
+   derivation hits the cache, whether the coordinator validates
+   optimistically, and what [structure_size] counts. *)
+let kind_table =
+  [ ("XDGL", [ "xdgl"; "Xdgl" ], true, true, false, `Guide);
+    ("Node2PL", [ "node2pl"; "NODE2PL" ], false, false, false, `Doc);
+    ("Doc2PL", [ "doc2pl"; "DOC2pl" ], false, false, false, `One);
+    ("taDOM", [ "tadom"; "TaDom" ], false, false, false, `Doc);
+    ("XDGL+VL", [ "xdgl+vl"; "XDGL-VL"; "XdglVl" ], true, false, false, `Guide);
+    ("Commute", [ "commute"; "Xdgl+Commute" ], true, true, true, `Guide) ]
+
 let test_kind_strings () =
+  Alcotest.(check (list string))
+    "order of all"
+    (List.map (fun (name, _, _, _, _, _) -> name) kind_table)
+    (List.map Protocol.kind_to_string Protocol.all);
+  List.iter2
+    (fun k (name, aliases, guide, cached, validates, structure) ->
+      List.iter
+        (fun s ->
+          checkb (s ^ " resolves to " ^ name) true
+            (Protocol.kind_of_string s = Some k))
+        (name :: String.uppercase_ascii name :: aliases);
+      checkb (name ^ " uses_dataguide") guide (Protocol.uses_dataguide k);
+      checkb (name ^ " needs_validation") validates
+        (Protocol.needs_validation k);
+      let doc = store () in
+      let p = Protocol.create k in
+      Protocol.add_doc p doc;
+      checkb (name ^ " dataguide after add_doc") guide
+        (Protocol.dataguide p "d2" <> None);
+      let q = Op.Query (P.parse "/products/product/price") in
+      ignore (Protocol.lock_requests p ~doc:"d2" q);
+      ignore (Protocol.lock_requests p ~doc:"d2" q);
+      let hits, misses = Protocol.cache_stats p in
+      check (name ^ " repeat hits") (if cached then 1 else 0) hits;
+      check (name ^ " derivations counted") 2 (hits + misses);
+      let expected =
+        match (structure, Protocol.dataguide p "d2") with
+        | `Guide, Some dg -> Dg.size dg
+        | `Guide, None -> Alcotest.failf "%s: no DataGuide" name
+        | `Doc, _ -> Doc.size doc
+        | `One, _ -> 1
+      in
+      check (name ^ " structure_size") expected (Protocol.structure_size p "d2"))
+    Protocol.all kind_table;
   List.iter
-    (fun k ->
-      match Protocol.kind_of_string (Protocol.kind_to_string k) with
-      | Some k' -> checkb "roundtrip" true (k = k')
-      | None -> Alcotest.fail "kind_of_string")
-    [ Protocol.xdgl; Protocol.node2pl; Protocol.doc2pl; Protocol.tadom ]
+    (fun s ->
+      checkb (s ^ " is unknown") true (Protocol.kind_of_string s = None))
+    [ ""; "xdgl2"; "XDGL+2PC"; "node 2pl" ]
 
 (* --- property: lock coverage --------------------------------------------- *)
 
