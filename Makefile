@@ -5,9 +5,10 @@
 .PHONY: check build test analyze analyze-smoke chaos chaos-smoke explore \
 	explore-smoke cert cert-smoke clean
 
-# `dune runtest` already runs and diffs `analyze --smoke`, `chaos --smoke`
-# and `experiment all --quick` / `experiment ablation` against
-# test/*.expected, so their targets are not repeated here.
+# `dune runtest` already runs and diffs `analyze --smoke`, the full
+# `analyze`, `chaos --smoke`, `chaos --plans 2` and `experiment all --quick`
+# / `experiment ablation` against test/*.expected, so their targets are not
+# repeated here.
 check: build test explore-smoke cert-smoke
 
 build:

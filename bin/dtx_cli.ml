@@ -346,6 +346,24 @@ let scale_cmd =
 
 module Checker = Dtx_check.Checker
 module Lattice = Dtx_check.Lattice
+module Run = Dtx_check.Run
+
+(* One checked run's verdict: an [ok] line built by [summary], or the
+   violation count and every violation. True when the run is clean. *)
+let report ~width label summary (o : Run.outcome) =
+  Format.printf "%-*s " width label;
+  match o.Run.violations with
+  | [] ->
+    Format.printf "ok: %s@." (summary o.Run.result);
+    true
+  | vs ->
+    Format.printf "%d violation(s):@." (List.length vs);
+    List.iter (Format.printf "%a@." Checker.pp_violation) vs;
+    false
+
+let ring =
+  Arg.(value & opt Protocol_arg.count 256 & info [ "ring" ]
+         ~doc:"Trace ring-buffer capacity (violation suffix length).")
 
 let analyze_cmd =
   let seeds =
@@ -362,15 +380,15 @@ let analyze_cmd =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Tiny single-seed configuration (the make-check gate).")
   in
-  let ring =
-    Arg.(value & opt Protocol_arg.count 256 & info [ "ring" ]
-           ~doc:"Trace ring-buffer capacity (violation suffix length).")
-  in
   let run seeds clients sites txns ops upd mb smoke ring protocols =
-    let clients, sites, txns, ops, mb, seeds =
+    let base, seeds =
       if smoke then
-        (6, 3, 3, 4, 2.0, [ List.nth_opt seeds 0 |> Option.value ~default:7 ])
-      else (clients, sites, txns, ops, mb, seeds)
+        ({ Run.smoke_params with update_txn_pct = upd }, [ List.hd seeds ])
+      else
+        ( { Workload.default_params with
+            n_clients = clients; n_sites = sites; txns_per_client = txns;
+            ops_per_txn = ops; update_txn_pct = upd; base_size_mb = mb },
+          seeds )
     in
     (match Lattice.check () with
      | Ok () -> print_endline "mode-lattice: ok (64 pairs, masks, hierarchy)"
@@ -378,48 +396,25 @@ let analyze_cmd =
        Printf.printf "mode-lattice: %d violation(s)\n" (List.length msgs);
        List.iter (fun m -> Printf.printf "  [mode-lattice] %s\n" m) msgs;
        exit 1);
-    let base =
-      { Workload.default_params with
-        n_clients = clients; n_sites = sites; txns_per_client = txns;
-        ops_per_txn = ops; update_txn_pct = upd; base_size_mb = mb }
+    let summary r =
+      Printf.sprintf "%d committed, %d aborted, %d deadlock(s)"
+        r.Workload.committed r.Workload.aborted r.Workload.deadlocks
     in
-    let failed = ref false in
-    List.iter
-      (fun seed ->
-        List.iter
-          (fun (proto, two_phase) ->
-            if not !failed then begin
-              let p =
-                { base with seed; protocol = proto;
-                  two_phase_commit = two_phase }
-              in
+    let clean =
+      List.for_all
+        (fun seed ->
+          List.for_all
+            (fun ((protocol, two_phase_commit) as config) ->
               let label =
-                Printf.sprintf "%s%s seed=%d" (Protocol.kind_to_string proto)
-                  (if two_phase then "+2pc" else "")
+                Printf.sprintf "%s seed=%d" (Protocol_arg.config_to_string config)
                   seed
               in
-              let checker = Checker.create ~ring () in
-              let r =
-                Workload.run
-                  ~instrument:(fun cluster ->
-                    Checker.attach checker cluster)
-                  p
-              in
-              match Checker.finish checker with
-              | [] ->
-                Format.printf
-                  "%-22s ok: %d committed, %d aborted, %d deadlock(s)@." label
-                  r.Workload.committed r.Workload.aborted r.Workload.deadlocks
-              | vs ->
-                failed := true;
-                Format.printf "%-22s %d violation(s):@." label (List.length vs);
-                List.iter
-                  (fun v -> Format.printf "%a@." Checker.pp_violation v)
-                  vs
-            end)
-          protocols)
-      seeds;
-    if !failed then exit 1
+              let p = { base with seed; protocol; two_phase_commit } in
+              report ~width:22 label summary (Run.run ~ring p None))
+            protocols)
+        seeds
+    in
+    if not clean then exit 1
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -431,7 +426,6 @@ let analyze_cmd =
 (* --- chaos ------------------------------------------------------------------*)
 
 module Fault_plan = Dtx_fault.Fault_plan
-module Injector = Dtx_fault.Injector
 
 let chaos_cmd =
   let plans =
@@ -464,10 +458,6 @@ let chaos_cmd =
     Arg.(value & flag & info [ "show-plans" ]
            ~doc:"Print each fault plan before running it.")
   in
-  let ring =
-    Arg.(value & opt Protocol_arg.count 256 & info [ "ring" ]
-           ~doc:"Trace ring-buffer capacity (violation suffix length).")
-  in
   let run plans first_seed sites clients txns ops upd horizon smoke show_plans
       ring protocols =
     let plans, configs =
@@ -489,9 +479,12 @@ let chaos_cmd =
         txn_timeout_ms = Some (4.0 *. horizon) }
     in
     let failed = ref 0 in
-    let runs = ref 0 in
     let committed = ref 0 in
     let aborted = ref 0 in
+    let summary r =
+      Printf.sprintf "%d committed, %d aborted/failed" r.Workload.committed
+        (r.Workload.aborted + r.Workload.failed)
+    in
     for i = 0 to plans - 1 do
       let plan_seed = first_seed + i in
       let plan =
@@ -499,55 +492,25 @@ let chaos_cmd =
       in
       if show_plans then Format.printf "%a@." Fault_plan.pp plan;
       List.iter
-        (fun (proto, two_phase) ->
-          let p =
-            { base with seed = 9000 + plan_seed; protocol = proto;
-              two_phase_commit = two_phase }
-          in
+        (fun ((protocol, two_phase_commit) as config) ->
           let label =
-            Printf.sprintf "plan %-3d %s%s" plan_seed
-              (Protocol.kind_to_string proto)
-              (if two_phase then "+2pc" else "")
+            Printf.sprintf "plan %-3d %s" plan_seed
+              (Protocol_arg.config_to_string config)
           in
-          (* One-phase commit is not crash-atomic — a site crash loses
-             executed-but-uncommitted effects and there is no WAL redo to
-             replay (the paper's §5 future-work gap; the 2PC extension is
-             the fix). Crash events therefore run only under 2PC; the
-             one-phase configs keep every message- and partition-level
-             fault. *)
-          let plan =
-            if two_phase then plan
-            else { plan with Fault_plan.crashes = [] }
+          let p =
+            { base with seed = 9000 + plan_seed; protocol; two_phase_commit }
           in
-          let checker = Checker.create ~ring () in
-          let r =
-            Workload.run
-              ~instrument:(fun cluster ->
-                let inj = Injector.install cluster plan in
-                Checker.set_link_oracle checker
-                  (Some (Injector.link_oracle inj));
-                Checker.attach checker cluster)
-              p
-          in
-          incr runs;
+          let o = Run.run ~ring p (Some plan) in
+          let r = o.Run.result in
           committed := !committed + r.Workload.committed;
           aborted := !aborted + r.Workload.aborted + r.Workload.failed;
-          match Checker.finish checker with
-          | [] ->
-            Format.printf "%-28s ok: %d committed, %d aborted/failed@." label
-              r.Workload.committed
-              (r.Workload.aborted + r.Workload.failed)
-          | vs ->
-            incr failed;
-            Format.printf "%-28s %d violation(s):@." label (List.length vs);
-            List.iter
-              (fun v -> Format.printf "%a@." Checker.pp_violation v)
-              vs)
+          if not (report ~width:28 label summary o) then incr failed)
         configs
     done;
     Format.printf "chaos: %d run(s), %d committed, %d aborted/failed, %d \
                    failing run(s)@."
-      !runs !committed !aborted !failed;
+      (plans * List.length configs)
+      !committed !aborted !failed;
     if !failed > 0 then exit 1
   in
   Cmd.v

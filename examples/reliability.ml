@@ -47,7 +47,7 @@ let fresh_cluster ?(commit = Cluster.Two_phase) ?(policy = Dtx.Site.Detection)
   Cluster.shutdown_when_idle cluster;
   (* Loss is a fault plan: an always-on drop of unreliable traffic. *)
   if drop_pct > 0 then
-    ignore (Injector.install cluster (Fault_plan.lossy ~seed:5 ~drop_pct));
+    Injector.install cluster (Fault_plan.lossy ~seed:5 ~drop_pct);
   (sim, net, cluster)
 
 let deposit i = Printf.sprintf "<entry><id>d%d</id><amount>%d</amount></entry>" i (10 * i)

@@ -128,11 +128,11 @@ type t = {
          a site's entries die with it at Crashed (so did the effects) *)
   commit_issued : (int, unit) Hashtbl.t;  (* saw a Commit sent for txn *)
   recovery_pending : (int * int, unit) Hashtbl.t;  (* (site, txn) in doubt *)
-  mutable link_cut : (time:float -> src:int -> dst:int -> bool) option;
+  link_cut : (time:float -> src:int -> dst:int -> bool) option;
       (* fault-plan oracle: is this link severed (partition or crash)? *)
 }
 
-let create ?(ring = 256) ?(suffix = 30) () =
+let create ?(ring = 256) ?(suffix = 30) ?link_oracle () =
   if ring < 1 then invalid_arg "Checker.create: ring must be positive";
   if suffix < 0 then invalid_arg "Checker.create: suffix must be non-negative";
   { ring = Array.make ring None;
@@ -159,9 +159,7 @@ let create ?(ring = 256) ?(suffix = 30) () =
     executed = Hashtbl.create 64;
     commit_issued = Hashtbl.create 64;
     recovery_pending = Hashtbl.create 16;
-    link_cut = None }
-
-let set_link_oracle t o = t.link_cut <- o
+    link_cut = link_oracle }
 
 let violations t = List.rev t.violations
 

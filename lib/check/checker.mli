@@ -27,8 +27,8 @@
     - {b sim-clock} — virtual time never decreases;
     - {b dedup} — a duplicated or retransmitted operation shipment is never
       executed twice at a site (at-most-once delivery);
-    - {b partition} — no message is delivered across a link the installed
-      fault-plan oracle ({!set_link_oracle}) says is severed;
+    - {b partition} — no message is delivered across a link the fault-plan
+      oracle ([create ~link_oracle]) says is severed;
     - {b recovery} — crash/restart honesty: an in-doubt transaction may
       only resolve as committed if a Commit was actually issued, must not
       resolve as aborted once its commit applied somewhere (no committed
@@ -78,13 +78,20 @@ val violation_json : violation -> string
 
 type t
 
-val create : ?ring:int -> ?suffix:int -> unit -> t
+val create :
+  ?ring:int ->
+  ?suffix:int ->
+  ?link_oracle:(time:float -> src:int -> dst:int -> bool) ->
+  unit ->
+  t
 (** A fresh checker. [ring] (default 256) is the capacity of the circular
     trace buffer — how far back a violation report can look. [suffix]
     (default 30) caps how many of those events a report actually quotes;
     the schedule explorer passes small values for both, since it builds
     thousands of throwaway checkers and only ever prints the first
-    violation's tail. @raise Invalid_argument if [ring < 1] or
+    violation's tail. [link_oracle] arms the {b partition} invariant: it
+    says whether the [src -> dst] link is severed at [time]; [Run.run]
+    passes the fault plan's [cut]. @raise Invalid_argument if [ring < 1] or
     [suffix < 0]. *)
 
 val attach : ?mutate:(event -> event option) -> t -> Dtx.Cluster.t -> unit
@@ -96,13 +103,6 @@ val attach : ?mutate:(event -> event option) -> t -> Dtx.Cluster.t -> unit
     ([Dtx_faults.Faults]) uses it to prove the checker catches discipline
     violations (a hidden release, a hidden vote) without breaking the
     actual run. *)
-
-val set_link_oracle :
-  t -> (time:float -> src:int -> dst:int -> bool) option -> unit
-(** Install the fault-plan reachability oracle behind the {b partition}
-    invariant: the predicate returns [true] when the [src -> dst] link is
-    severed (partition or crashed endpoint) at [time]. [None] (default)
-    disables the check. *)
 
 val emit : t -> time:float -> event -> unit
 (** Feed one event directly (scripted schedules in tests — no cluster

@@ -7,8 +7,8 @@
     times, and site crash/restart events — all in virtual time, all
     reproducible from [seed]. {!Injector} turns a plan into live
     {!Dtx_net.Net} fault hooks and scheduled crash/restart events;
-    [Dtx_check.Checker.set_link_oracle] consumes {!cut} to verify that
-    severed links really deliver nothing. *)
+    [Dtx_check.Run.run] hands {!cut} to the checker as its partition
+    oracle, to verify that severed links really deliver nothing. *)
 
 type window = { from_ms : float; until_ms : float }
 (** Half-open interval of simulated time: active at [t] iff

@@ -4,24 +4,18 @@ module Msg = Dtx_net.Msg
 module Rng = Dtx_util.Rng
 module Cluster = Dtx.Cluster
 
-type t = {
-  plan : Fault_plan.t;
-  cluster : Cluster.t;
-  rng : Rng.t;  (* the injector's own stream: plan decisions stay seeded *)
-}
-
 (* Send-time decision: the offsets list of every copy to deliver. [] drops
    the message; one zero offset is a normal delivery; an extra entry is a
    duplicate; positive offsets are extra delay — jittered copies overtake
    one another, which is where reordering comes from. *)
-let offsets t ~time ~src ~dst channel msg =
-  if Fault_plan.cut t.plan ~time ~src ~dst then []
+let offsets plan rng ~time ~src ~dst channel msg =
+  if Fault_plan.cut plan ~time ~src ~dst then []
   else begin
     let kind = Msg.kind msg in
     let active =
       List.filter
         (fun lf -> Fault_plan.fault_matches lf ~time ~src ~dst kind)
-        t.plan.Fault_plan.link_faults
+        plan.Fault_plan.link_faults
     in
     if active = [] then [ 0.0 ]
     else begin
@@ -29,7 +23,7 @@ let offsets t ~time ~src ~dst channel msg =
       let dropped =
         unreliable
         && List.exists
-             (fun lf -> Rng.pct t.rng lf.Fault_plan.lf_drop_pct)
+             (fun lf -> Rng.pct rng lf.Fault_plan.lf_drop_pct)
              active
       in
       if dropped then []
@@ -40,7 +34,7 @@ let offsets t ~time ~src ~dst channel msg =
               acc +. lf.Fault_plan.lf_delay_ms
               +.
               if lf.Fault_plan.lf_jitter_ms > 0.0 then
-                Rng.float t.rng lf.Fault_plan.lf_jitter_ms
+                Rng.float rng lf.Fault_plan.lf_jitter_ms
               else 0.0)
             0.0 active
         in
@@ -48,7 +42,7 @@ let offsets t ~time ~src ~dst channel msg =
         let duplicated =
           unreliable
           && List.exists
-               (fun lf -> Rng.pct t.rng lf.Fault_plan.lf_dup_pct)
+               (fun lf -> Rng.pct rng lf.Fault_plan.lf_dup_pct)
                active
         in
         if duplicated then [ first; delay_of () ] else [ first ]
@@ -57,14 +51,11 @@ let offsets t ~time ~src ~dst channel msg =
   end
 
 let install cluster plan =
-  let t =
-    { plan; cluster; rng = Rng.create (plan.Fault_plan.seed lxor 0x5DEECE66) }
-  in
+  (* The injector's own stream: plan decisions stay seeded. *)
+  let rng = Rng.create (plan.Fault_plan.seed lxor 0x5DEECE66) in
   Net.set_fault (Cluster.net cluster)
     (Some
-       { Net.f_offsets =
-           (fun ~time ~src ~dst channel msg ->
-             offsets t ~time ~src ~dst channel msg);
+       { Net.f_offsets = offsets plan rng;
          f_deliverable =
            (fun ~time ~src ~dst ->
              not (Fault_plan.cut plan ~time ~src ~dst)) });
@@ -82,9 +73,4 @@ let install cluster plan =
              ~time:(c.Fault_plan.c_at_ms +. d)
              (fun () ->
                Cluster.restart_site cluster ~site:c.Fault_plan.c_site)))
-    plan.Fault_plan.crashes;
-  t
-
-let remove t = Net.set_fault (Cluster.net t.cluster) None
-
-let link_oracle t = fun ~time ~src ~dst -> Fault_plan.cut t.plan ~time ~src ~dst
+    plan.Fault_plan.crashes

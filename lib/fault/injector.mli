@@ -8,16 +8,6 @@
     ({!Dtx.Cluster.crash_site} / {!Dtx.Cluster.restart_site}, the latter
     running WAL-replay recovery). Call before {!Dtx_sim.Sim.run}. *)
 
-type t
-
-val install : Dtx.Cluster.t -> Fault_plan.t -> t
+val install : Dtx.Cluster.t -> Fault_plan.t -> unit
 (** Hook the plan into the cluster's network and schedule its crashes.
     Equal plans (same seed) produce identical fault streams. *)
-
-val remove : t -> unit
-(** Uninstall the network fault hook (already-scheduled crash events still
-    fire). *)
-
-val link_oracle : t -> time:float -> src:int -> dst:int -> bool
-(** The plan's {!Fault_plan.cut} as a closure, shaped for
-    [Dtx_check.Checker.set_link_oracle]. *)

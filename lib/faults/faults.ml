@@ -2,7 +2,8 @@ module Mode = Dtx_locks.Mode
 module Table = Dtx_locks.Table
 module Checker = Dtx_check.Checker
 module Lattice = Dtx_check.Lattice
-module Workload = Dtx_workload.Workload
+module Run = Dtx_check.Run
+module Fault_plan = Dtx_fault.Fault_plan
 module Explore = Dtx_explore.Explore
 module Cert = Dtx_cert.Cert
 
@@ -35,6 +36,11 @@ let commit_reorder ~txn = function
     None
   | ev -> Some ev
 
+let drop_as_deliver = function
+  | Checker.Net { src; dst; dir = Dtx_net.Net.Drop; msg } ->
+    Some (Checker.Net { src; dst; dir = Dtx_net.Net.Deliver; msg })
+  | ev -> Some ev
+
 type finding = { check : string; detail : string }
 
 type t = { name : string; check : string; run : inject:bool -> finding list }
@@ -54,20 +60,24 @@ let lattice ~inject =
   | Ok () -> []
   | Error msgs -> tagged "mode-lattice" msgs
 
-(* The analyzer's smoke configuration: one seeded XDGL workload, 6 clients
-   on 3 sites. Its t4 is a multi-site reader whose released locks later
-   writers acquire. *)
-let workload ~two_phase tap ~inject =
-  let checker = Checker.create () in
+let workload ?plan p tap ~inject =
   let mutate = if inject then Some tap else None in
-  ignore
-    (Workload.run
-       ~instrument:(fun c -> Checker.attach ?mutate checker c)
-       { Workload.default_params with
-         seed = 7; n_clients = 6; n_sites = 3; txns_per_client = 3;
-         ops_per_txn = 4; update_txn_pct = 30; base_size_mb = 2.0;
-         protocol = Dtx_protocol.Protocol.xdgl; two_phase_commit = two_phase });
-  of_violations (Checker.finish checker)
+  of_violations (Run.run ?mutate p plan).Run.violations
+
+let smoke_2pc = { Run.smoke_params with two_phase_commit = true }
+
+(* The analyzer's smoke workload with site 0 cut off while it is busy.
+   Retransmission (as in [dtx_cli chaos]) resends lost shipments after the
+   heal; the transaction timeout aborts a waiter whose Wake the partition
+   dropped, since a Wake is never resent, so the run ends. *)
+let partitioned =
+  { Run.smoke_params with
+    retransmit_ms = Some 5.0; txn_timeout_ms = Some 160.0 }
+
+let cut_off_site_0 =
+  { (Fault_plan.empty ~seed:1 ~horizon_ms:40.0) with
+    Fault_plan.partitions =
+      [ { p_window = { from_ms = 2.0; until_ms = 20.0 }; p_group = [ 0 ] } ] }
 
 (* Exhaustive exploration of the reference scenario. *)
 let explore ~two_phase tap ~inject =
@@ -95,13 +105,15 @@ let ref_last = List.length Explore.reference.Explore.sc_txns
 let all =
   [ { name = "lattice/compat-flip"; check = "mode-lattice"; run = lattice };
     { name = "analyze/skip-release"; check = "lock-compat";
-      run = workload ~two_phase:false (skip_release ~txn:4) };
+      run = workload Run.smoke_params (skip_release ~txn:4) };
     { name = "analyze/skip-one-release"; check = "lock-balance";
       run =
         (fun ~inject ->
-          workload ~two_phase:false (skip_one_release ~txn:4) ~inject) };
+          workload Run.smoke_params (skip_one_release ~txn:4) ~inject) };
     { name = "analyze/commit-reorder"; check = "2pc-order";
-      run = workload ~two_phase:true (commit_reorder ~txn:4) };
+      run = workload smoke_2pc (commit_reorder ~txn:4) };
+    { name = "chaos/drop-as-deliver"; check = "partition";
+      run = workload ~plan:cut_off_site_0 partitioned drop_as_deliver };
     { name = "explore/skip-release"; check = "lock-compat";
       run = explore ~two_phase:false (skip_release ~txn:ref_last) };
     { name = "explore/commit-reorder"; check = "2pc-order";

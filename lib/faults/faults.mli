@@ -7,7 +7,7 @@
 
 type tap = Dtx_check.Checker.event -> Dtx_check.Checker.event option
 (** Rewrites the events a checker sees, never the run itself: pass it as
-    [Checker.attach ~mutate] or [Explore.config.tap]. *)
+    [Dtx_check.Run.run ~mutate] or [Explore.config.tap]. *)
 
 val skip_release : txn:int -> tap
 (** Hides [txn]'s end-of-transaction lock releases and local finishes: the
@@ -31,8 +31,8 @@ type t = {
   name : string;
   check : string;
       (** the check that must catch the fault: a checker invariant
-          ([mode-lattice], [lock-compat], [lock-balance], [2pc-order]) or a
-          certifier pass ([lock-coverage], [fsm]) *)
+          ([mode-lattice], [lock-compat], [lock-balance], [2pc-order],
+          [partition]) or a certifier pass ([lock-coverage], [fsm]) *)
   run : inject:bool -> finding list;
       (** everything the checks found; [~inject:false] is the fault-free
           twin *)

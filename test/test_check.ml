@@ -17,6 +17,7 @@ module Cluster = Dtx.Cluster
 module History = Dtx.History
 module Checker = Dtx_check.Checker
 module Lattice = Dtx_check.Lattice
+module Run = Dtx_check.Run
 module Workload = Dtx_workload.Workload
 
 let r name node = Table.resource name node
@@ -317,12 +318,8 @@ let test_many_seeds_serializable () =
   List.iter
     (fun protocol ->
       for seed = 1 to 25 do
-        let c = Checker.create () in
-        ignore
-          (Workload.run
-             ~instrument:(fun cluster -> Checker.attach c cluster)
-             (tiny_params ~seed ~protocol ~policy:Dtx.Site.Detection));
-        match Checker.finish c with
+        let p = tiny_params ~seed ~protocol ~policy:Dtx.Site.Detection in
+        match (Run.run p None).Run.violations with
         | [] -> ()
         | v :: _ ->
           Alcotest.failf "%s seed %d: %a"
@@ -343,15 +340,12 @@ let prop_commute_serializable =
     ~count:20
     QCheck.(triple (int_range 1 500) (int_range 0 100) (int_range 2 6))
     (fun (seed, upd, clients) ->
-      let c = Checker.create () in
       let p =
         { (tiny_params ~seed ~protocol:Dtx_protocol.Protocol.commute
              ~policy:Dtx.Site.Detection)
           with n_clients = clients; update_txn_pct = upd }
       in
-      ignore
-        (Workload.run ~instrument:(fun cluster -> Checker.attach c cluster) p);
-      match Checker.finish c with
+      match (Run.run p None).Run.violations with
       | [] -> true
       | v :: _ ->
         QCheck.Test.fail_reportf "seed %d upd %d clients %d: %a" seed upd

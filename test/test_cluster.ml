@@ -571,9 +571,8 @@ let test_lossy_network_all_txns_terminate () =
   in
   let cluster = Cluster.create ~sim ~net ~n_sites:2 config ~placements in
   Cluster.shutdown_when_idle cluster;
-  ignore
-    (Dtx_fault.Injector.install cluster
-       (Dtx_fault.Fault_plan.lossy ~seed:99 ~drop_pct:10));
+  Dtx_fault.Injector.install cluster
+    (Dtx_fault.Fault_plan.lossy ~seed:99 ~drop_pct:10);
   let finished = ref 0 in
   for i = 0 to 19 do
     Cluster.submit cluster ~client:i ~coordinator:(i mod 2)

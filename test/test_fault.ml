@@ -16,6 +16,7 @@ module Workload = Dtx_workload.Workload
 module Checker = Dtx_check.Checker
 module Fault_plan = Dtx_fault.Fault_plan
 module Injector = Dtx_fault.Injector
+module Run = Dtx_check.Run
 
 let checkb = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -93,7 +94,7 @@ let under_total_loss ~src ~dst channel =
       ~placements:[ { Dtx_frag.Allocation.doc; sites = [ 0; 1 ] } ]
   in
   Cluster.shutdown_when_idle cluster;
-  ignore (Injector.install cluster (Fault_plan.lossy ~seed:3 ~drop_pct:100));
+  Injector.install cluster (Fault_plan.lossy ~seed:3 ~drop_pct:100);
   let delivered = ref 0 in
   Net.set_handler net (fun ~src:_ ~dst:_ _ -> incr delivered);
   for txn = 1 to 20 do
@@ -121,24 +122,9 @@ let test_total_loss_spares_local () =
 (* Shared harness: one checked workload run under a fault plan         *)
 (* ------------------------------------------------------------------ *)
 
-let checked_run ?mutate_count params plan =
-  let checker = Checker.create ~ring:512 () in
-  let cluster_ref = ref None in
-  let r =
-    Workload.run
-      ~instrument:(fun cluster ->
-        cluster_ref := Some cluster;
-        let inj = Injector.install cluster plan in
-        Checker.set_link_oracle checker (Some (Injector.link_oracle inj));
-        Checker.attach ?mutate:mutate_count checker cluster)
-      params
-  in
-  let cluster =
-    match !cluster_ref with
-    | Some c -> c
-    | None -> Alcotest.fail "instrument hook never ran"
-  in
-  (r, cluster, Checker.finish checker)
+let checked_run ?mutate params plan =
+  let o = Run.run ~ring:512 ?mutate params (Some plan) in
+  (o.Run.result, o.Run.cluster, o.Run.violations)
 
 let fail_on_violations label vs =
   match vs with
@@ -233,7 +219,7 @@ let test_crash_sweep_two_phase () =
         retransmit_ms = Some 3.0; txn_timeout_ms = Some 500.0 }
     in
     let label = Printf.sprintf "crash at %.1fms" !t in
-    let r, cluster, vs = checked_run ~mutate_count:mutate params plan in
+    let r, cluster, vs = checked_run ~mutate params plan in
     fail_on_violations label vs;
     checkb (label ^ ": some progress") true (r.Workload.committed > 0);
     Array.iter
@@ -270,6 +256,38 @@ let test_crash_without_restart_drains () =
   check_int "all transactions accounted for" r.Workload.planned_txns
     (r.Workload.committed + r.Workload.aborted + r.Workload.failed)
 
+(* One-phase commit has no prepare point to recover from, so a one-phase
+   run drops its plan's crashes; the same crash-only plan does crash a
+   site under 2PC. Returns how many site crashes the checker saw. *)
+let crashes_seen ~two_phase =
+  let plan =
+    { (Fault_plan.empty ~seed:0 ~horizon_ms:100.0) with
+      Fault_plan.crashes =
+        [ { c_site = 1; c_at_ms = 5.0; c_restart_after_ms = Some 8.0 } ]
+    }
+  in
+  let params =
+    { Workload.default_params with
+      seed = 11; n_sites = 3; n_clients = 4; txns_per_client = 3;
+      ops_per_txn = 3; update_txn_pct = 80; base_size_mb = 2.0;
+      two_phase_commit = two_phase; retransmit_ms = Some 3.0;
+      txn_timeout_ms = Some 500.0 }
+  in
+  let crashed = ref 0 in
+  let mutate ev =
+    (match ev with
+     | Checker.Part { ev = Participant.Crashed; _ } -> incr crashed
+     | _ -> ());
+    Some ev
+  in
+  let _, _, vs = checked_run ~mutate params plan in
+  fail_on_violations (if two_phase then "2pc" else "one-phase") vs;
+  !crashed
+
+let test_one_phase_drops_crashes () =
+  check_int "one-phase: no site crashed" 0 (crashes_seen ~two_phase:false);
+  checkb "2pc: a site crashed" true (crashes_seen ~two_phase:true > 0)
+
 let () =
   Alcotest.run "fault"
     [ ( "plans",
@@ -289,4 +307,6 @@ let () =
         [ Alcotest.test_case "crash at every commit phase" `Quick
             test_crash_sweep_two_phase;
           Alcotest.test_case "crash without restart drains" `Quick
-            test_crash_without_restart_drains ] ) ]
+            test_crash_without_restart_drains;
+          Alcotest.test_case "one-phase runs drop crashes" `Quick
+            test_one_phase_drops_crashes ] ) ]
