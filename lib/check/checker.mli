@@ -58,8 +58,6 @@ type event =
     }
   | Part of { site : int; ev : Dtx.Participant.event }
 
-val pp_event : Format.formatter -> event -> unit
-
 type violation = {
   v_invariant : string;  (** e.g. ["s2pl-discipline"], ["2pc-order"] *)
   v_txn : int option;

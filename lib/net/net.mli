@@ -114,11 +114,11 @@ type delivery = {
 
 val pending_deliveries : t -> (Dtx_sim.Sim.event_id * delivery) list
 (** Every in-flight message copy, keyed by its simulator event id (the same
-    ids {!Dtx_sim.Sim.candidates} reports), in no particular order. This is
-    how the schedule explorer distinguishes reorderable message deliveries
-    from internal timers among the pending events. Entries leave the set
-    when their event fires — even if a mid-flight partition then swallows
-    the copy. *)
+    ids a {!Dtx_sim.Sim.set_chooser} hook is offered), in no particular
+    order. This is how the schedule explorer distinguishes reorderable
+    message deliveries from internal timers among the pending events.
+    Entries leave the set when their event fires — even if a mid-flight
+    partition then swallows the copy. *)
 
 val messages : t -> int
 (** Remote messages sent so far. *)

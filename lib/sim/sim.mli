@@ -8,9 +8,9 @@
 
     Time is a [float] in {e simulated milliseconds}.
 
-    The dispatch queue is a calendar queue ({!Dtx_util.Calqueue}) with O(1)
-    expected operations, dispatching in (time, seq) order. It holds exactly
-    the pending events: an event leaves it only by firing.
+    The dispatch queue is a binary min-heap private to this module, with
+    O(log n) push and pop in (time, seq) order. It holds exactly the
+    pending events: an event leaves it only by firing.
 
     The simulator runs on one domain. Every result the paper reports is in
     virtual time, which the wall-clock speed of the dispatch loop cannot
@@ -20,7 +20,7 @@ type t
 
 type event_id
 (** Identity of a scheduled event: what a {!set_chooser} hook returns to
-    pick it among the {!candidates}. *)
+    pick it among the pending events. *)
 
 val create : unit -> t
 (** A fresh simulator with clock at [0.0]. *)
@@ -59,15 +59,12 @@ val step : t -> bool
 type candidate = { c_time : float; c_seq : event_id }
 (** One pending event a chooser may fire next. *)
 
-val candidates : t -> candidate list
-(** Every pending event, sorted by (time, seq) — the enabled set a schedule
-    explorer branches over. *)
-
 val set_chooser : t -> (candidate list -> event_id) option -> unit
 (** Install (or remove) a scheduler hook. While installed, {!step} (and
-    {!run}) present the full {!candidates} list and fire the event whose id
-    the hook returns instead of the earliest one — this is how the schedule
-    explorer substitutes its own delivery/interleaving order. Firing an
+    {!run}) present every pending event, sorted by (time, seq), and fire
+    the event whose id the hook returns instead of the earliest one. This
+    is how the schedule explorer branches over the enabled set and
+    substitutes its own delivery/interleaving order. Firing an
     event behind the timestamp frontier never rewinds the clock: the clock
     advances to [max now chosen.c_time], so [now] stays monotone and events
     the fired action schedules land in the future. With [None] (the

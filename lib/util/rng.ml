@@ -51,8 +51,3 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let exponential t mean =
-  let u = float t 1.0 in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

@@ -38,5 +38,3 @@ val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp(1/mean); used for think times. *)

@@ -7,13 +7,16 @@
     [quick] flag shrinks client counts and database sizes (for tests and
     smoke runs) without changing the curves' qualitative shape.
 
-    | Paper figure | Driver | x-axis | y-axis |
+    | Paper figure | Target | x-axis | y-axis |
     |--------------|--------|--------|--------|
-    | Fig. 9  | {!fig9}  | number of clients   | response time (2 charts: total/partial replication) |
-    | Fig. 10 | {!fig10} | update txn %        | response time; number of deadlocks |
-    | Fig. 11a| {!fig11a}| base size (MB)      | response time; number of deadlocks |
-    | Fig. 11b| {!fig11b}| number of sites     | response time; number of deadlocks |
-    | Fig. 12 | {!fig12} | time                | cumulative commits; concurrency degree | *)
+    | Fig. 9  | ["fig9"]   | number of clients   | response time (2 charts: total/partial replication) |
+    | Fig. 10 | ["fig10"]  | update txn %        | response time; number of deadlocks |
+    | Fig. 11a| ["fig11a"] | base size (MB)      | response time; number of deadlocks |
+    | Fig. 11b| ["fig11b"] | number of sites     | response time; number of deadlocks |
+    | Fig. 12 | ["fig12"]  | time                | cumulative commits; concurrency degree |
+
+    Only {!fig10} and {!fig12} are exported as functions: the tests read
+    their points directly. *)
 
 type series = {
   label : string;
@@ -28,20 +31,9 @@ type figure = {
   series : series list;
 }
 
-val fig9 : quick:bool -> figure list
-(** Response time vs number of clients (10–50), read-only transactions,
-    XDGL vs Node2PL × total vs partial replication. Two figures (one per
-    replication mode). *)
-
 val fig10 : quick:bool -> figure list
 (** Response time and deadlock count vs update-transaction percentage
     (20–60 %), 50 clients, partial replication. Two figures. *)
-
-val fig11a : quick:bool -> figure list
-(** Response time and deadlocks vs base size (50–200 MB). Two figures. *)
-
-val fig11b : quick:bool -> figure list
-(** Response time and deadlocks vs number of sites (2–8). Two figures. *)
 
 val fig12 : quick:bool -> figure list
 (** Cumulative committed transactions over time and concurrency degree over

@@ -56,13 +56,19 @@ let test_schedule_at_past_clamps () =
 
 (* Scripts checked against a sorted-list model of the (time, seq) dispatch
    order: event [i] fires at its delay, and every event whose index is a
-   multiple of 7 schedules a follow-up 1 ms later. *)
+   multiple of 7 schedules a follow-up 1 ms later. The second shape draws
+   whole-ms delays in 0..5, so hundreds of events tie (FIFO order among
+   equal times) and the queue grows past its initial capacity. *)
 let script_arb =
-  QCheck.(list_of_size Gen.(1 -- 200) (float_bound_exclusive 50.0))
+  QCheck.(
+    oneof
+      [ list_of_size Gen.(1 -- 200) (float_bound_exclusive 50.0);
+        list_of_size Gen.(100 -- 400) (map float_of_int (int_bound 5)) ])
 
 (* Run a script, logging (label, clock) per fired event; follow-ups are
-   labelled [1000 + i]. *)
-let run_script ?chooser script =
+   labelled [1000 + i]. The chooser (if any) picks the first [chosen] events;
+   the rest fire in the queue's own order. *)
+let run_script ?chooser ?(chosen = max_int) script =
   let sim = Sim.create () in
   let log = ref [] in
   List.iteri
@@ -76,31 +82,59 @@ let run_script ?chooser script =
                       log := (1000 + i, Sim.now sim) :: !log)))))
     script;
   Sim.set_chooser sim chooser;
+  Sim.run ~max_events:chosen sim;
+  Sim.set_chooser sim None;
   Sim.run sim;
   (!log, Sim.pending sim)
 
-(* The model: pending (time, seq, label) triples, kept sorted. *)
-let model script =
+(* The model: pending (time, seq, label) triples, kept sorted. [pick n]
+   chooses which of the [n] pending events fires next (default: the head);
+   the clock only ratchets forward, as {!Sim.set_chooser} specifies. *)
+let model ?(pick = fun _ -> 0) script =
   let next_seq = ref (List.length script) in
-  let rec drain pending acc =
+  let rec drain clock pending acc =
     match pending with
     | [] -> acc
-    | (time, _, label) :: rest ->
+    | _ ->
+      let time, seq, label = List.nth pending (pick (List.length pending)) in
+      let clock = Float.max clock time in
+      let rest = List.filter (fun (_, s, _) -> s <> seq) pending in
       let rest =
         if label < 1000 && label mod 7 = 0 then begin
           let seq = !next_seq in
           incr next_seq;
-          List.merge compare [ (time +. 1.0, seq, 1000 + label) ] rest
+          List.merge compare [ (clock +. 1.0, seq, 1000 + label) ] rest
         end
         else rest
       in
-      drain rest ((label, time) :: acc)
+      drain clock rest ((label, clock) :: acc)
   in
-  drain (List.sort compare (List.mapi (fun i d -> (d, i, i)) script)) []
+  drain 0.0 (List.sort compare (List.mapi (fun i d -> (d, i, i)) script)) []
 
 let prop_model_order =
-  QCheck.Test.make ~name:"calendar queue matches sorted model" ~count:100
+  QCheck.Test.make ~name:"event queue matches sorted model" ~count:100
     script_arb (fun script -> run_script script = (model script, 0))
+
+(* A seeded chooser takes candidate [k mod n] for the first half of the
+   script's events, [k] drawn from the seed, so most fires remove an event
+   from the middle of the queue; the rest then drain in heap order, which
+   shows whether those removals kept the heap intact. The model makes the
+   same picks from the same seed, then takes the head. *)
+let seeded_pick seed ~chosen =
+  let st = Random.State.make [| seed |] and picked = ref 0 in
+  fun n ->
+    incr picked;
+    if !picked <= chosen then Random.State.bits st mod n else 0
+
+let prop_seeded_chooser =
+  QCheck.Test.make ~name:"seeded chooser matches model" ~count:100
+    QCheck.(pair script_arb int)
+    (fun (script, seed) ->
+      let chosen = List.length script / 2 in
+      let pick = seeded_pick seed ~chosen in
+      let chooser cs = (List.nth cs (pick (List.length cs))).Sim.c_seq in
+      run_script ~chooser ~chosen script
+      = (model ~pick:(seeded_pick seed ~chosen) script, 0))
 
 (* A chooser that always takes the head of the (time, seq)-sorted
    candidates is the no-chooser dispatch order, clock included. *)
@@ -232,4 +266,5 @@ let () =
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_deterministic;
           QCheck_alcotest.to_alcotest prop_model_order;
-          QCheck_alcotest.to_alcotest prop_chooser_first ] ) ]
+          QCheck_alcotest.to_alcotest prop_chooser_first;
+          QCheck_alcotest.to_alcotest prop_seeded_chooser ] ) ]

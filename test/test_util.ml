@@ -1,7 +1,6 @@
-(* Unit + property tests for Dtx_util: Vec, Heap, Rng, Stats, Intern. *)
+(* Unit + property tests for Dtx_util: Vec, Rng, Chart, Stats, Intern. *)
 
 module Vec = Dtx_util.Vec
-module Heap = Dtx_util.Heap
 module Rng = Dtx_util.Rng
 module Stats = Dtx_util.Stats
 module Intern = Dtx_util.Intern
@@ -49,139 +48,6 @@ let test_vec_make_clear () =
   Vec.clear v;
   checkb "cleared" true (Vec.is_empty v);
   check "to_array" 0 (Array.length (Vec.to_array v))
-
-(* --- Heap --------------------------------------------------------------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-      out := x :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 9; 5; 4; 3; 1; 1; 0 ] !out
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "min" (Some 1) (Heap.peek h);
-  check "peek does not pop" 2 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
-(* --- Calqueue ------------------------------------------------------------ *)
-
-module Calqueue = Dtx_util.Calqueue
-
-let cq_create () = Calqueue.create ~time:fst ~seq:snd ()
-
-let test_calqueue_ordering () =
-  let q = cq_create () in
-  List.iteri (fun i t -> Calqueue.push q (t, i)) [ 5.0; 1.0; 4.0; 1.0; 3.0 ];
-  let rec drain acc =
-    match Calqueue.pop q with Some x -> drain (x :: acc) | None -> List.rev acc
-  in
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "(time, seq) order incl. FIFO tie"
-    [ (1.0, 1); (1.0, 3); (3.0, 4); (4.0, 2); (5.0, 0) ]
-    (drain [])
-
-let test_calqueue_peek_remove () =
-  let q = cq_create () in
-  for i = 0 to 99 do
-    Calqueue.push q (float_of_int (i mod 10), i)
-  done;
-  check "length" 100 (Calqueue.length q);
-  Alcotest.(check (option (pair (float 0.0) int)))
-    "peek min" (Some (0.0, 0)) (Calqueue.peek q);
-  check "peek does not pop" 100 (Calqueue.length q);
-  (* every third seq: a few from each timestamp's group *)
-  for i = 0 to 99 do
-    if i mod 3 = 1 then Calqueue.remove q (float_of_int (i mod 10), i)
-  done;
-  check "removed" 67 (Calqueue.length q);
-  Alcotest.(check (option (pair (float 0.0) int)))
-    "min survives removal" (Some (0.0, 0)) (Calqueue.peek q);
-  Alcotest.check_raises "absent element"
-    (Invalid_argument "Calqueue.remove: element not queued") (fun () ->
-      Calqueue.remove q (1.0, 1));
-  let rec drain acc =
-    match Calqueue.pop q with Some (_, s) -> drain (s :: acc) | None -> List.rev acc
-  in
-  Alcotest.(check (list int)) "the rest in (time, seq) order"
-    (List.sort
-       (fun a b -> compare (a mod 10, a) (b mod 10, b))
-       (List.filter (fun i -> i mod 3 <> 1) (List.init 100 Fun.id)))
-    (drain [])
-
-(* The property that lets the simulator swap queues without a trace diff:
-   any interleaving of pushes and pops drains in exactly the heap's
-   (time, seq) order — including sparse far-future times that force the
-   calendar's direct-search jump, and resize churn both ways. *)
-let prop_calqueue_matches_heap =
-  QCheck.Test.make ~name:"calendar queue = binary heap dispatch order"
-    ~count:300
-    QCheck.(
-      list_of_size Gen.(1 -- 120)
-        (pair (oneofl [ 0.0; 0.5; 1.0; 3.0; 1e3; 1e7 ]) (float_bound_exclusive 50.0)))
-    (fun ops ->
-      let cmp (t1, s1) (t2, s2) =
-        let c = compare (t1 : float) t2 in
-        if c <> 0 then c else compare (s1 : int) s2
-      in
-      let q = cq_create () and h = Heap.create ~cmp in
-      let ok = ref true in
-      List.iteri
-        (fun i (base, jitter) ->
-          Calqueue.push q (base +. jitter, i);
-          Heap.push h (base +. jitter, i);
-          (* pop a third of the time, interleaved with pushes *)
-          if i mod 3 = 0 then ok := !ok && Calqueue.pop q = Heap.pop h)
-        ops;
-      let rec drain () =
-        match (Calqueue.pop q, Heap.pop h) with
-        | None, None -> true
-        | a, b -> a = b && drain ()
-      in
-      !ok && drain ())
-
-(* In-place removal anywhere in the queue (the chooser's out-of-order
-   fire) leaves the survivors draining in (time, seq) order, across the
-   same sparse times and resize churn as the heap differential; whole-ms
-   offsets make removals hit shared-timestamp groups. *)
-let prop_calqueue_remove =
-  QCheck.Test.make ~name:"calendar queue remove keeps the rest ordered"
-    ~count:300
-    QCheck.(
-      list_of_size Gen.(1 -- 120)
-        (pair (oneofl [ 0.0; 0.5; 1.0; 3.0; 1e3; 1e7 ]) (int_bound 20)))
-    (fun ops ->
-      let q = cq_create () in
-      let xs =
-        List.mapi (fun i (base, ms) -> (base +. float_of_int ms, i)) ops
-      in
-      List.iter (Calqueue.push q) xs;
-      List.iter (fun (t, i) -> if i mod 3 = 1 then Calqueue.remove q (t, i)) xs;
-      let rec drain acc =
-        match Calqueue.pop q with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare (List.filter (fun (_, i) -> i mod 3 <> 1) xs))
 
 (* --- Rng ---------------------------------------------------------------- *)
 
@@ -325,15 +191,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_set_bounds;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
           Alcotest.test_case "make/clear" `Quick test_vec_make_clear ] );
-      ( "heap",
-        [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek" `Quick test_heap_peek;
-          QCheck_alcotest.to_alcotest prop_heap_sorts ] );
-      ( "calqueue",
-        [ Alcotest.test_case "ordering" `Quick test_calqueue_ordering;
-          Alcotest.test_case "peek/remove" `Quick test_calqueue_peek_remove;
-          QCheck_alcotest.to_alcotest prop_calqueue_matches_heap;
-          QCheck_alcotest.to_alcotest prop_calqueue_remove ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "ranges" `Quick test_rng_ranges;
