@@ -483,8 +483,6 @@ and handle_victim t ~txn =
 (* Commit / abort: Algorithms 5 and 6                                  *)
 (* ------------------------------------------------------------------ *)
 
-and involved_sites _t (st : txn_state) = st.involved
-
 and start_end_protocol t (st : txn_state) ~commit =
   if not (finishing st) then begin
     (* The Commute protocol's validation step, run once per transaction on
@@ -515,13 +513,12 @@ and begin_ending t (st : txn_state) ~commit =
   st.round_failed <- false;
   st.round <- st.round + 1;
   let round = st.round in
-  let sites_involved = involved_sites t st in
-  st.pending_sites <- sites_involved;
+  st.pending_sites <- st.involved;
   Log.debug (fun m ->
       m "t%d %s across [%s]" st.txn.Txn.id
         (if commit then "commit" else "abort")
-        (String.concat ";" (List.map string_of_int sites_involved)));
-  if sites_involved = [] then
+        (String.concat ";" (List.map string_of_int st.involved)));
+  if st.involved = [] then
     finalize t st (if commit then Txn.Committed else Txn.Aborted)
   else begin
     let msg =
@@ -556,11 +553,10 @@ and start_prepare_phase t (st : txn_state) =
   st.round_failed <- false;
   st.round <- st.round + 1;
   let round = st.round in
-  let sites_involved = involved_sites t st in
-  st.pending_sites <- sites_involved;
+  st.pending_sites <- st.involved;
   Log.debug (fun m ->
       m "t%d prepare across [%s]" st.txn.Txn.id
-        (String.concat ";" (List.map string_of_int sites_involved)));
+        (String.concat ";" (List.map string_of_int st.involved)));
   let msg = Msg.Prepare { txn = st.txn.Txn.id } in
   let send_pending () =
     List.iter
@@ -625,7 +621,7 @@ and conclude_ending t (st : txn_state) ~forced =
         if not (t.site_failed dst) then
           Net.dispatch t.net ~src:st.txn.Txn.coordinator ~dst
             (Msg.Abort { txn = st.txn.Txn.id; quiet = true }))
-      (involved_sites t st);
+      st.involved;
     finalize t st Txn.Failed
   end
   else finalize t st Txn.Aborted

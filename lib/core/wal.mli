@@ -32,10 +32,17 @@ type entry =
   | Aborted of { txn : int; time : float }
 
 type t
+(** The log in append order, plus an index of each transaction's latest
+    state, one byte per transaction id (ids are the coordinator's dense
+    counter, so non-negative). [append] keeps the index current; the
+    lookups below read it instead of scanning the log. *)
 
 val create : unit -> t
+(** An empty log. The index allocates nothing until the first record,
+    then room for 256 ids, doubling as larger ids arrive. *)
 
 val append : t -> entry -> unit
+(** Amortised O(1). @raise Invalid_argument on a negative transaction id. *)
 
 val entries : t -> entry list
 (** In append order. *)
@@ -43,16 +50,20 @@ val entries : t -> entry list
 val length : t -> int
 
 val outcome_of : t -> int -> [ `Committed | `Aborted | `In_doubt | `Unknown ]
-(** The latest state the log records for a transaction: [`Unknown] if it
-    never prepared here. *)
+(** The latest state the log records for a transaction, in O(1): the
+    latest outcome record if there is one (a [Prepared] logged after it
+    leaves it), else [`In_doubt] after a [Prepared], else [`Unknown]. *)
 
 val in_doubt : t -> int list
-(** Transactions with a [Prepared] record and no outcome record — what a
-    recovering site must resolve (sorted). *)
+(** Transactions whose latest record is a [Prepared] — what a recovering
+    site must resolve (sorted). O(highest transaction id logged). A
+    [Prepared] logged after an outcome record lists the transaction here
+    while {!outcome_of} keeps its outcome. *)
 
 val prepared_record : t -> int -> (int * (string * string) list) option
 (** [(coordinator, redo)] of the transaction's latest [Prepared] record,
-    if any — the recovery inputs. *)
+    if any — the recovery inputs. O(1) for a transaction the log has never
+    seen; otherwise a walk back from the tail to that record. *)
 
 val resolve_presumed_abort : t -> int list
 (** Append [Aborted] for every in-doubt transaction without consulting

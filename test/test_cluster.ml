@@ -341,6 +341,121 @@ let test_wal_unit () =
   Alcotest.(check (list int)) "none left" [] (Wal.in_doubt w);
   check "entries" 4 (Wal.length w)
 
+(* The fold-based lookups the indexed Wal replaced, verbatim over a plain
+   append-order log: the oracle for the differential property below. *)
+module Wal_oracle = struct
+  module Vec = Dtx_util.Vec
+  open Wal
+
+  type t = { log : entry Vec.t }
+
+  let create () = { log = Vec.create () }
+
+  let append t e = Vec.push t.log e
+
+  let outcome_of t txn =
+    Vec.fold_left
+      (fun acc e ->
+        match e with
+        | Prepared p when p.txn = txn && acc = `Unknown -> `In_doubt
+        | Committed c when c.txn = txn -> `Committed
+        | Aborted a when a.txn = txn -> `Aborted
+        | _ -> acc)
+      `Unknown t.log
+
+  let in_doubt t =
+    let prepared = Hashtbl.create 16 in
+    Vec.iter
+      (fun e ->
+        match e with
+        | Prepared { txn; _ } -> Hashtbl.replace prepared txn true
+        | Committed { txn; _ } | Aborted { txn; _ } ->
+          Hashtbl.replace prepared txn false)
+      t.log;
+    Hashtbl.fold (fun txn pending acc -> if pending then txn :: acc else acc)
+      prepared []
+    |> List.sort compare
+
+  let prepared_record t txn =
+    Vec.fold_left
+      (fun acc e ->
+        match e with
+        | Prepared { txn = txn'; coord; redo; _ } when txn' = txn ->
+          Some (coord, redo)
+        | _ -> acc)
+      None t.log
+
+  let resolve_presumed_abort t =
+    let pending = in_doubt t in
+    List.iter (fun txn -> append t (Aborted { txn; time = 0.0 })) pending;
+    pending
+end
+
+type wal_step = Log of Wal.entry | Presume_abort
+
+(* Ids crowd around 0 so records for one transaction repeat and interleave;
+   a fifth lie past the index's initial capacity (256 ids). *)
+let wal_step_gen =
+  let open QCheck.Gen in
+  let txn = frequency [ (4, int_bound 5); (1, int_range 250 700) ] in
+  let redo =
+    list_size (int_bound 2)
+      (map (fun i -> ("d1", Printf.sprintf "REMOVE /r/a[%d]" i)) (int_bound 9))
+  in
+  let time = map float_of_int (int_bound 100) in
+  frequency
+    [ ( 5,
+        map3
+          (fun txn (time, coord) redo ->
+            Log (Wal.Prepared { txn; time; coord; redo }))
+          txn (pair time (int_bound 3)) redo );
+      (2, map2 (fun txn time -> Log (Wal.Committed { txn; time })) txn time);
+      (2, map2 (fun txn time -> Log (Wal.Aborted { txn; time })) txn time);
+      (1, return Presume_abort) ]
+
+let print_wal_step = function
+  | Log (Wal.Prepared { txn; coord; redo; _ }) ->
+    Printf.sprintf "P%d@%d/%d" txn coord (List.length redo)
+  | Log (Wal.Committed { txn; _ }) -> Printf.sprintf "C%d" txn
+  | Log (Wal.Aborted { txn; _ }) -> Printf.sprintf "A%d" txn
+  | Presume_abort -> "presume"
+
+let wal_steps_arb =
+  QCheck.make
+    ~print:(fun steps -> String.concat " " (List.map print_wal_step steps))
+    QCheck.Gen.(list_size (int_range 1 60) wal_step_gen)
+
+(* After every step the index answers every lookup as the full scan does,
+   for each id the case used plus ones it never touched. *)
+let prop_wal_index_matches_scan =
+  QCheck.Test.make ~name:"wal index matches log scan" ~count:300
+    wal_steps_arb (fun steps ->
+      let w = Wal.create () and o = Wal_oracle.create () in
+      let ids =
+        [ 0; 1; 2; 3; 4; 5; 255; 256; 257; 511; 512; 699; 700; 701; 5000 ]
+      in
+      List.for_all
+        (fun step ->
+          let resolved_ok =
+            match step with
+            | Log e ->
+              Wal.append w e;
+              Wal_oracle.append o e;
+              true
+            | Presume_abort ->
+              Wal.resolve_presumed_abort w = Wal_oracle.resolve_presumed_abort o
+          in
+          resolved_ok
+          && Wal.entries w = Dtx_util.Vec.to_list o.Wal_oracle.log
+          && Wal.length w = Dtx_util.Vec.length o.Wal_oracle.log
+          && Wal.in_doubt w = Wal_oracle.in_doubt o
+          && List.for_all
+               (fun txn ->
+                 Wal.outcome_of w txn = Wal_oracle.outcome_of o txn
+                 && Wal.prepared_record w txn = Wal_oracle.prepared_record o txn)
+               ids)
+        steps)
+
 let test_two_phase_commit_works () =
   let sim, _, cluster = make_cluster ~commit:Cluster.Two_phase () in
   let st = ref None in
@@ -364,6 +479,50 @@ let test_two_phase_commit_works () =
   checkb "replicas equal" true
     (Doc.equal_structure (replica cluster ~site:0 ~doc:"d1")
        (replica cluster ~site:1 ~doc:"d1"))
+
+(* A duplicated Prepare re-votes from the WAL without logging again: yes
+   while the WAL says in doubt or committed, no once it says aborted. A
+   Prepare for a transaction the site has no trace of is refused. *)
+let test_duplicate_prepare_revotes () =
+  let module Msg = Dtx_net.Msg in
+  let sim, net, cluster = make_cluster ~commit:Cluster.Two_phase () in
+  let committed = ref (-1) in
+  submit cluster ~coordinator:0
+    [ ( "d1",
+        Op.Insert
+          { target = P.parse "/people"; pos = Op.Into;
+            fragment = "<person><id>rv</id></person>" } ) ]
+    (fun txn ->
+      if txn.Txn.status = Txn.Committed then committed := txn.Txn.id);
+  Sim.run sim;
+  checkb "committed first" true (!committed >= 0);
+  let wal = (Cluster.sites cluster).(1).Site.wal in
+  let in_doubt = 900 and aborted = 901 and untraced = 902 in
+  let prepared txn = Wal.Prepared { txn; time = 0.0; coord = 0; redo = [] } in
+  Wal.append wal (prepared in_doubt);
+  Wal.append wal (prepared aborted);
+  Wal.append wal (Wal.Aborted { txn = aborted; time = 0.0 });
+  let logged = Wal.length wal in
+  let votes = Hashtbl.create 8 in
+  let votes_for txn = Option.value ~default:[] (Hashtbl.find_opt votes txn) in
+  Cluster.attach_tracer cluster (fun ~time:_ ev ->
+      match ev with
+      | Cluster.Tr_net
+          { src = 1; dir = Net.Send; msg = Msg.Vote { txn; ok }; _ } ->
+        Hashtbl.replace votes txn (ok :: votes_for txn)
+      | _ -> ());
+  List.iter
+    (fun txn ->
+      Net.dispatch net ~src:0 ~dst:1 (Msg.Prepare { txn });
+      Net.dispatch net ~src:0 ~dst:1 (Msg.Prepare { txn }))
+    [ !committed; in_doubt; aborted; untraced ];
+  Sim.run sim;
+  Alcotest.(check (list bool)) "committed: yes" [ true; true ] (votes_for !committed);
+  Alcotest.(check (list bool)) "in doubt: yes" [ true; true ] (votes_for in_doubt);
+  Alcotest.(check (list bool)) "aborted: no" [ false; false ] (votes_for aborted);
+  Alcotest.(check (list bool)) "no trace: no" [ false; false ] (votes_for untraced);
+  check "nothing logged" logged (Wal.length wal);
+  checkb "no trace stays unknown" true (Wal.outcome_of wal untraced = `Unknown)
 
 let test_two_phase_costs_a_round () =
   let run commit =
@@ -811,8 +970,11 @@ let () =
             test_duplicate_delivery_idempotent ] );
       ( "two-phase commit",
         [ Alcotest.test_case "wal unit" `Quick test_wal_unit;
+          QCheck_alcotest.to_alcotest prop_wal_index_matches_scan;
           Alcotest.test_case "2PC commits + logs" `Quick test_two_phase_commit_works;
           Alcotest.test_case "2PC costs a round" `Quick test_two_phase_costs_a_round;
+          Alcotest.test_case "duplicate Prepare re-votes" `Quick
+            test_duplicate_prepare_revotes;
           Alcotest.test_case "crash recovery, presumed abort" `Quick
             test_two_phase_crash_recovery ] );
       ( "history",
